@@ -23,7 +23,6 @@
 
 #include "artifact/reader.h"
 #include "bench_report.h"
-#include "gemm/packed_gemm.h"
 #include "models/mlp.h"
 #include "models/serve_adapters.h"
 #include "models/transformer.h"
@@ -109,20 +108,11 @@ main()
         return static_cast<double>(mlp_requests) / (now_sec() - t0);
     };
 
-    // The headline frozen metrics honour the ambient MX_GEMM policy;
-    // the A/B legs pin Mode::Off explicitly and restore the ambient
-    // mode afterwards (so MX_GEMM=0 runs stay on the values path
-    // throughout).
-    const gemm::Mode ambient_mode = gemm::mode();
-
+    // Frozen layers run the packed GEMM on a SIMD host and their grid
+    // values on the scalar leg (gemm::route_packed).
     const double mlp_fake = mlp_single_stream();
     mlp.freeze();
     const double mlp_frozen = mlp_single_stream();
-    // A/B the two frozen execution paths: dequantized-values matmul
-    // (the PR 3 serving path) vs the packed-domain mx_gemm pipeline.
-    gemm::set_mode(gemm::Mode::Off);
-    const double mlp_frozen_legacy = mlp_single_stream();
-    gemm::set_mode(ambient_mode);
 
     serve::EngineConfig mlp_cfg;
     mlp_cfg.rows_independent = true;
@@ -137,11 +127,8 @@ main()
 
     const double mlp_speedup = mlp_frozen / mlp_fake;
     std::printf("  fake-quant single-stream : %10.1f rows/s\n", mlp_fake);
-    std::printf("  frozen (values matmul)   : %10.1f rows/s  (%.2fx)\n",
-                mlp_frozen_legacy, mlp_frozen_legacy / mlp_fake);
-    std::printf("  frozen single-stream     : %10.1f rows/s  (%.2fx, "
-                "%.2fx over values path)\n",
-                mlp_frozen, mlp_speedup, mlp_frozen / mlp_frozen_legacy);
+    std::printf("  frozen single-stream     : %10.1f rows/s  (%.2fx)\n",
+                mlp_frozen, mlp_speedup);
     std::printf("  frozen engine            : %10.1f rows/s  "
                 "(p50 %.3f ms, p99 %.3f ms, mean batch %.1f)\n",
                 mlp_engine_rps, mlp_stats.request_total.p50_ms,
@@ -156,10 +143,6 @@ main()
 
     report.metric("serve_mlp_fakequant_items_per_sec", mlp_fake, "rows/s");
     report.metric("serve_mlp_frozen_items_per_sec", mlp_frozen, "rows/s");
-    report.metric("serve_mlp_frozen_legacy_items_per_sec",
-                  mlp_frozen_legacy, "rows/s");
-    report.metric("mlp_packed_gemm_speedup",
-                  mlp_frozen / mlp_frozen_legacy, "x");
     report.metric("serve_mlp_engine_items_per_sec", mlp_engine_rps,
                   "rows/s");
     report.metric("mlp_frozen_speedup", mlp_speedup, "x");
@@ -334,9 +317,6 @@ main()
     const double gpt_fake = gpt_single_stream();
     gpt.freeze();
     const double gpt_frozen = gpt_single_stream();
-    gemm::set_mode(gemm::Mode::Off);
-    const double gpt_frozen_legacy = gpt_single_stream();
-    gemm::set_mode(ambient_mode);
 
     serve::EngineConfig gpt_cfg;
     gpt_cfg.rows_independent = true;
@@ -350,11 +330,8 @@ main()
     const double gpt_speedup = gpt_frozen / gpt_fake;
     std::printf("  fake-quant single-stream : %10.1f windows/s\n",
                 gpt_fake);
-    std::printf("  frozen (values matmul)   : %10.1f windows/s  (%.2fx)\n",
-                gpt_frozen_legacy, gpt_frozen_legacy / gpt_fake);
-    std::printf("  frozen single-stream     : %10.1f windows/s  (%.2fx, "
-                "%.2fx over values path)\n",
-                gpt_frozen, gpt_speedup, gpt_frozen / gpt_frozen_legacy);
+    std::printf("  frozen single-stream     : %10.1f windows/s  (%.2fx)\n",
+                gpt_frozen, gpt_speedup);
     std::printf("  frozen engine            : %10.1f windows/s  "
                 "(p50 %.3f ms, p99 %.3f ms, mean batch %.1f)\n",
                 gpt_engine_rps, gpt_stats.request_total.p50_ms,
@@ -371,10 +348,6 @@ main()
                   "windows/s");
     report.metric("serve_gpt_frozen_items_per_sec", gpt_frozen,
                   "windows/s");
-    report.metric("serve_gpt_frozen_legacy_items_per_sec",
-                  gpt_frozen_legacy, "windows/s");
-    report.metric("gpt_packed_gemm_speedup",
-                  gpt_frozen / gpt_frozen_legacy, "x");
     report.metric("serve_gpt_engine_items_per_sec", gpt_engine_rps,
                   "windows/s");
     report.metric("gpt_frozen_speedup", gpt_speedup, "x");
@@ -387,18 +360,6 @@ main()
     const bool gpt_ok = gpt_frozen >= 1.2 * gpt_fake;
     report.flag("gpt_frozen_ge_1_2x_single_stream", gpt_ok);
     ok = ok && gpt_ok;
-
-    // The packed-domain GEMM claim (Figure 6 / ROADMAP "dequant-free
-    // packed matmul"): on the SIMD leg the matmul-bound GPT decode
-    // window must beat the dequantized-values serving path by >= 1.3x.
-    // The scalar packed kernel is a reference, not a fast path, and
-    // MX_GEMM=0 runs never take the packed path at all, so the claim
-    // is only recorded where the packed path actually engaged.
-    if (gemm::packed_profitable() && gemm::route_packed(false)) {
-        const bool packed_ok = gpt_frozen >= 1.3 * gpt_frozen_legacy;
-        report.flag("gpt_packed_ge_1_3x_over_values_path", packed_ok);
-        ok = ok && packed_ok;
-    }
 
     // ------------------------------------------------------------------
     // Decode sessions: greedy decode of growing contexts through
@@ -592,7 +553,8 @@ main()
     // ------------------------------------------------------------------
     // Cold start: process -> first token.  The artifact path mmaps the
     // frozen bit streams written at export time (src/artifact/) and
-    // never quantizes; the rebuild path re-initializes the model and
+    // never quantizes (on a SIMD host it decodes no FP32 grid for the
+    // Linear layers either); the rebuild path re-initializes the model and
     // pays quantize+pack for every weight before it can serve.  Same
     // config + seed, so both must produce the identical first token.
     // ------------------------------------------------------------------
@@ -620,12 +582,6 @@ main()
         models::GptMini m = models::GptMini::load_frozen(reader);
         return argmax_tok(m.decode_logits(cold_prompt).data());
     });
-    auto [packed_only_ms, packed_only_tok] = best_of([&]() {
-        artifact::ArtifactReader reader(apath);
-        models::GptMini m = models::GptMini::load_frozen(
-            reader, artifact::LoadOptions{false});
-        return argmax_tok(m.decode_logits(cold_prompt).data());
-    });
     auto [rebuild_ms, rebuild_tok] = best_of([&]() {
         models::GptMini m(dcfg);
         m.freeze();
@@ -637,21 +593,16 @@ main()
     std::printf("  artifact mmap-load       : %10.3f ms to first token  "
                 "(%.2fx vs rebuild)\n",
                 artifact_ms, coldstart_speedup);
-    std::printf("  artifact, packed-only    : %10.3f ms to first token\n",
-                packed_only_ms);
     std::printf("  rebuild + refreeze       : %10.3f ms to first token\n",
                 rebuild_ms);
 
     report.metric("gpt_coldstart_artifact_ms", artifact_ms, "ms");
-    report.metric("gpt_coldstart_artifact_packed_only_ms", packed_only_ms,
-                  "ms");
     report.metric("gpt_coldstart_rebuild_ms", rebuild_ms, "ms");
     report.metric("gpt_coldstart_speedup", coldstart_speedup, "x");
 
     // Determinism across the two cold-start routes is part of the
     // artifact contract; the timing itself is informational.
-    const bool coldstart_match = artifact_tok == rebuild_tok &&
-                                 packed_only_tok == rebuild_tok;
+    const bool coldstart_match = artifact_tok == rebuild_tok;
     report.flag("gpt_coldstart_first_token_matches_rebuild",
                 coldstart_match);
     ok = ok && coldstart_match;

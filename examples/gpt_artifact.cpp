@@ -20,8 +20,7 @@
  * quantize+pack on one machine, serve the exact same bits on another,
  * with cold start skipping the entire quantize/pack step.
  *
- * Knobs: MX_SERVE_REPLICAS (serve-side worker count, default 2),
- * MX_GEMM (packed-domain routing: auto/1/0).
+ * Knob: MX_SERVE_REPLICAS (serve-side worker count, default 2).
  */
 
 #include <cstdio>

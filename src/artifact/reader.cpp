@@ -225,7 +225,14 @@ ArtifactReader::validate_entry(std::size_t i) const
 }
 
 const nn::FrozenTensor&
-ArtifactReader::frozen(std::size_t i, bool materialize_values) const
+ArtifactReader::frozen(std::size_t i) const
+{
+    return handle(i, std::nullopt);
+}
+
+const nn::FrozenTensor&
+ArtifactReader::handle(std::size_t i,
+                       const std::optional<core::BdrFormat>& act) const
 {
     MX_CHECK_ARG(i < entries_.size(),
                  "ArtifactReader: entry index out of range");
@@ -239,8 +246,7 @@ ArtifactReader::frozen(std::size_t i, bool materialize_values) const
         // copy of it) keeps the file mapped.
         handles_[i] = nn::FrozenTensor::from_packed(
             *e.format, payload(i), e.payload_bits, e.dims[0], e.dims[1],
-            std::shared_ptr<const void>(map_, map_->data),
-            materialize_values);
+            std::shared_ptr<const void>(map_, map_->data), act);
     }
     return handles_[i];
 }
@@ -261,8 +267,8 @@ ArtifactReader::raw_tensor(std::size_t i) const
 }
 
 void
-ArtifactReader::load_into(const std::vector<nn::FrozenStateRef>& refs,
-                          const LoadOptions& opts) const
+ArtifactReader::load_into(
+    const std::vector<nn::FrozenStateRef>& refs) const
 {
     if (refs.size() != entries_.size())
         throw SchemaError(
@@ -276,6 +282,8 @@ ArtifactReader::load_into(const std::vector<nn::FrozenStateRef>& refs,
         const std::string where =
             "artifact \"" + path_ + "\" entry \"" + e.name + "\"";
 
+        if (ref.spec != nullptr && e.spec.has_value())
+            *ref.spec = *e.spec;
         if (e.kind == EntryKind::RawF32) {
             if (ref.param->value.shape() != e.dims)
                 throw SchemaError(where + ": shape mismatch against "
@@ -294,11 +302,13 @@ ArtifactReader::load_into(const std::vector<nn::FrozenStateRef>& refs,
                 ref.param->value.dim(1) != e.dims[1])
                 throw SchemaError(where + ": shape mismatch against "
                                           "slot \"" + ref.name + "\"");
-            const nn::FrozenTensor& fz =
-                frozen(i, opts.materialize_values);
+            const nn::FrozenTensor& fz = handle(
+                i, ref.packed_matmul && ref.spec != nullptr
+                       ? ref.spec->forward
+                       : std::nullopt);
             *ref.frozen = fz; // O(1): shares the cached payload.
-            // The FP32 parameter mirrors the grid values when they
-            // were materialized; otherwise it stays zeroed — the
+            // The FP32 parameter mirrors the grid values when the
+            // layer reads them; otherwise it stays zeroed — the
             // loaded model is serve-only either way.
             if (fz.values().numel() > 0)
                 ref.param->value = fz.values();
@@ -306,8 +316,6 @@ ArtifactReader::load_into(const std::vector<nn::FrozenStateRef>& refs,
                 ref.param->value.fill(0.0f);
         }
 
-        if (ref.spec != nullptr && e.spec.has_value())
-            *ref.spec = *e.spec;
         if (ref.storage_format != nullptr)
             *ref.storage_format = e.format;
         if (ref.frozen_flag != nullptr)

@@ -38,20 +38,6 @@
 namespace mx {
 namespace artifact {
 
-/** load_into() knobs. */
-struct LoadOptions
-{
-    /**
-     * Decode the FP32 grid tensor of every packed entry eagerly so the
-     * dequantized-values fallback path works (the post-freeze memory
-     * shape).  false = packed-GEMM-only serving: loaded layers hold
-     * only the mapped stream + execution view, the drop_values()
-     * memory shape from the start.  Forced on per entry when the
-     * format has no gemm view.
-     */
-    bool materialize_values = true;
-};
-
 /** Read-only view of one artifact; see the file header for contracts. */
 class ArtifactReader
 {
@@ -79,12 +65,11 @@ class ArtifactReader
      * Entry @p i's FrozenTensor handle (packed kinds only).  Built on
      * first use and cached: repeated calls — and therefore every model
      * loaded from this reader — share one payload viewing the mapping.
-     * @p materialize_values applies only to the first call for an
-     * entry (the cached handle is reused as-is; unpacked() serves any
-     * later need for values).
+     * The first request decides the FP32 grid: load_into builds a
+     * Linear slot's handle under FrozenTensor::needs_grid, while a
+     * handle first built here keeps its grid (any layer can read it).
      */
-    const nn::FrozenTensor& frozen(std::size_t i,
-                                   bool materialize_values = true) const;
+    const nn::FrozenTensor& frozen(std::size_t i) const;
 
     /** Entry @p i's FP32 tensor (RawF32 kinds only; copies out of the
      *  mapping — parameters stay mutable after load). */
@@ -93,13 +78,14 @@ class ArtifactReader
     /**
      * Restore a model's state: @p refs must be the model's
      * collect_state slots in save order (count and shapes are
-     * checked).  Parameter values are filled (zero for packed entries
-     * when materialization is off — loaded models are serve-only),
-     * FrozenTensor slots get the shared zero-copy handles, and
-     * spec/storage-format/freeze-flag slots are restored.
+     * checked).  Spec slots are restored first, so a packed_matmul
+     * slot's grid is decided under the spec it will serve with.
+     * FrozenTensor slots get the shared zero-copy handles; parameter
+     * values mirror the grid, or are zeroed for a packed entry without
+     * one (loaded models are serve-only); storage-format and
+     * freeze-flag slots are restored.
      */
-    void load_into(const std::vector<nn::FrozenStateRef>& refs,
-                   const LoadOptions& opts = {}) const;
+    void load_into(const std::vector<nn::FrozenStateRef>& refs) const;
 
     /** Mapped file size in bytes (the memory N replicas share). */
     std::size_t file_size() const;
@@ -115,6 +101,11 @@ class ArtifactReader
 
     std::span<const std::uint8_t> file() const;
     void validate_entry(std::size_t i) const;
+    /** frozen(i), building a missing handle for a layer whose matmul
+     *  quantizes its activations under @p act
+     *  (FrozenTensor::from_packed). */
+    const nn::FrozenTensor&
+    handle(std::size_t i, const std::optional<core::BdrFormat>& act) const;
 
     std::string path_;
     std::shared_ptr<Mapping> map_;

@@ -105,34 +105,15 @@ size_knob(const char* name, std::size_t fallback, std::size_t min_value)
 bool
 flag_knob(const char* name, bool fallback)
 {
-    return enum_knob(name, fallback ? 1 : 0,
-                     {{"1", 1},
-                      {"true", 1},
-                      {"on", 1},
-                      {"yes", 1},
-                      {"0", 0},
-                      {"false", 0},
-                      {"off", 0},
-                      {"no", 0}}) != 0;
-}
-
-int
-enum_knob(const char* name, int fallback,
-          std::initializer_list<EnumToken> tokens)
-{
     const char* raw = std::getenv(name);
     if (raw == nullptr || raw[0] == '\0')
         return fallback;
     const std::string v = normalize(raw);
-    for (const EnumToken& t : tokens)
-        if (v == t.token)
-            return t.value;
-    std::string expected = "one of:";
-    for (const EnumToken& t : tokens) {
-        expected += ' ';
-        expected += t.token;
-    }
-    warn_once(name, raw, expected);
+    if (v == "1" || v == "true" || v == "on" || v == "yes")
+        return true;
+    if (v == "0" || v == "false" || v == "off" || v == "no")
+        return false;
+    warn_once(name, raw, "one of: 1 true on yes 0 false off no");
     return fallback;
 }
 

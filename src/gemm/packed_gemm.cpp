@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,15 +18,11 @@ namespace gemm {
 
 namespace {
 
-/** GEMMs executed (relaxed: observability only). */
-std::atomic<std::uint64_t> g_calls{0};
-
-/** Count one packed GEMM in both the legacy call_count() atomic and
- *  the obs registry (the MX_METRICS / trace-counter view). */
+/** Count one packed GEMM in the obs registry (the MX_METRICS /
+ *  trace-counter view). */
 void
 count_call()
 {
-    g_calls.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& calls = obs::counter("gemm.calls");
     calls.add(1);
 }
@@ -54,33 +49,8 @@ annotate_gemm_span(obs::Span& span, const GemmPlan& plan, std::size_t m,
     span.arg("bytes", static_cast<double>(packed_bytes + m * n * 4));
 }
 
-/** -1 = unresolved, else a Mode value. */
-std::atomic<int> g_mode{-1};
-
 /** -1 = unresolved, else the MX_GEMM_THREADS lane count. */
 std::atomic<long> g_gemm_threads{-1};
-
-int
-env_mode()
-{
-    // The shared knob parser warns once on anything unrecognized —
-    // this site used to map "ON", "auto " and "2" to Auto in silence.
-    return core::env::enum_knob(
-        "MX_GEMM", static_cast<int>(Mode::Auto),
-        {{"auto", static_cast<int>(Mode::Auto)},
-         {"1", static_cast<int>(Mode::On)},
-         {"on", static_cast<int>(Mode::On)},
-         {"true", static_cast<int>(Mode::On)},
-         {"0", static_cast<int>(Mode::Off)},
-         {"off", static_cast<int>(Mode::Off)},
-         {"false", static_cast<int>(Mode::Off)}});
-}
-
-bool
-env_verifies_gemm()
-{
-    return core::env::flag_knob("MX_GEMM_VERIFY", false);
-}
 
 void
 check_pair(const GemmPlan& plan, const PackedOperand& a,
@@ -280,55 +250,6 @@ run_gemm_nn(const PackedGemmKernel& kernel, const GemmPlan& plan,
     });
 }
 
-/** Shared divergence check of a packed result against an FP64-accumulated
- *  dequantized reference (behind MX_GEMM_VERIFY=1). */
-void
-check_against(const tensor::Tensor& ref, const float* c)
-{
-    double cmax = 0.0;
-    for (std::int64_t i = 0; i < ref.numel(); ++i)
-        cmax = std::max(cmax, std::fabs(static_cast<double>(ref.data()[i])));
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-        const double diff =
-            std::fabs(static_cast<double>(c[i]) - ref.data()[i]);
-        // The packed path accumulates across blocks in FP32 where the
-        // reference accumulates in FP64; the divergence bound is a few
-        // float ulps of the result magnitude per block.
-        MX_CHECK(diff <= 1e-4 * std::max(cmax, 1e-30),
-                 "MX_GEMM_VERIFY: packed GEMM diverged from the "
-                 "dequantized reference by " << diff << " at index " << i);
-    }
-}
-
-/** Dequantized-reference cross-check of the NT leg. */
-void
-verify_against_reference(const PackedOperand& a, const PackedOperand& b,
-                         const float* c)
-{
-    check_against(tensor::matmul_nt(dequantize(a), dequantize(b)), c);
-}
-
-/** Dequantized-reference cross-check of the NN leg: assemble the
- *  [ncols x K] B^T grid from the chunks, then compare as an NT GEMM. */
-void
-verify_nn_against_reference(const PackedOperand& a,
-                            std::span<const NnBlockRef> b,
-                            std::size_t ncols, const float* c)
-{
-    tensor::Tensor bt({static_cast<std::int64_t>(ncols),
-                       static_cast<std::int64_t>(a.cols())});
-    std::size_t off = 0;
-    for (const NnBlockRef& ref : b) {
-        tensor::Tensor g = dequantize(*ref.op);
-        for (std::size_t j = 0; j < ncols; ++j)
-            for (std::size_t t = 0; t < ref.op->cols(); ++t)
-                bt.data()[j * a.cols() + off + t] =
-                    g.data()[(ref.row_off + j) * ref.op->cols() + t];
-        off += ref.op->cols();
-    }
-    check_against(tensor::matmul_nt(dequantize(a), bt), c);
-}
-
 } // namespace
 
 void
@@ -431,24 +352,6 @@ set_gemm_threads(std::size_t threads)
                          std::memory_order_release);
 }
 
-Mode
-mode()
-{
-    int m = g_mode.load(std::memory_order_acquire);
-    if (m < 0) {
-        // Benign race: concurrent first calls resolve identically.
-        m = env_mode();
-        g_mode.store(m, std::memory_order_release);
-    }
-    return static_cast<Mode>(m);
-}
-
-void
-set_mode(Mode m)
-{
-    g_mode.store(static_cast<int>(m), std::memory_order_release);
-}
-
 bool
 packed_profitable()
 {
@@ -458,18 +361,7 @@ packed_profitable()
 bool
 route_packed(bool packed_only)
 {
-    switch (mode()) {
-      case Mode::Off: return false;
-      case Mode::On: return true;
-      case Mode::Auto: return packed_only || packed_profitable();
-    }
-    return false;
-}
-
-std::uint64_t
-call_count()
-{
-    return g_calls.load(std::memory_order_relaxed);
+    return packed_only || packed_profitable();
 }
 
 tensor::Tensor
@@ -494,9 +386,6 @@ matmul_nt_packed(const tensor::Tensor& x,
         {x.dim(0), static_cast<std::int64_t>(w.rows())});
     run_gemm(active_gemm_kernel(), plan, a, w, c.data());
     count_call();
-    static const bool verify = env_verifies_gemm();
-    if (verify)
-        verify_against_reference(a, w, c.data());
     return c;
 }
 
@@ -532,9 +421,6 @@ matmul_nt_prequant(const GemmPlan& plan, const PackedOperand& a,
                       static_cast<std::int64_t>(b.rows())});
     run_gemm(active_gemm_kernel(), plan, a, b, c.data());
     count_call();
-    static const bool verify = env_verifies_gemm();
-    if (verify)
-        verify_against_reference(a, b, c.data());
     return c;
 }
 
@@ -554,9 +440,6 @@ matmul_nn_packed(const GemmPlan& plan, const PackedOperand& a,
                       static_cast<std::int64_t>(ncols)});
     run_gemm_nn(active_gemm_kernel(), plan, a, b, ncols, c.data());
     count_call();
-    static const bool verify = env_verifies_gemm();
-    if (verify)
-        verify_nn_against_reference(a, b, ncols, c.data());
     return c;
 }
 

@@ -58,20 +58,17 @@
  * (same MX_FORCE_SCALAR / MX_FORCE_AVX2 overrides, same
  * set_simd_level test hook).
  *
- * Knobs:
- *   MX_GEMM=auto      (default) frozen layers take the packed path when
- *                     it is profitable (a SIMD gemm kernel is active)
- *                     or required (the FP32 grid values were dropped);
- *                     otherwise they serve on the dequantized values
- *   MX_GEMM=1         always take the packed path, even on the scalar
- *                     kernel (exercises the reference semantics
- *                     end-to-end; ~5x slower than the values matmul)
- *   MX_GEMM=0         never take the packed path
+ * Routing (route_packed): a frozen layer runs the packed path when it
+ * holds no FP32 grid or when a SIMD gemm kernel is active.  Freeze and
+ * load keep the grid only where a layer reads it (nn/frozen.h), so a
+ * pairable layer frozen on a SIMD host has none.  On the scalar kernel
+ * a layer that has its grid serves on it: there the values matmul is
+ * 3-4x faster than the scalar packed kernel.
+ *
+ * Knob:
  *   MX_GEMM_THREADS=N shard output tiles across N lanes (default: the
  *                     shared pool size; 1 = serial, today's behavior;
  *                     0/negative clamp to 1)
- *   MX_GEMM_VERIFY=1  cross-check every packed GEMM against the
- *                     dequantized reference matmul (debugging)
  */
 
 #include <cstdint>
@@ -205,34 +202,16 @@ std::size_t gemm_threads();
  *  environment on the next call (test hook + embedder API). */
 void set_gemm_threads(std::size_t threads);
 
-/** Routing policy of the frozen serving path. */
-enum class Mode
-{
-    Auto, ///< Packed when profitable (SIMD) or required (values dropped).
-    On,   ///< Always packed, even on the scalar kernel.
-    Off,  ///< Never packed; serve on the dequantized values.
-};
-
-/** The active policy: MX_GEMM in the environment ("0" = Off, "1" = On,
- *  anything else = Auto), overridable at runtime with set_mode(). */
-Mode mode();
-
-/** Runtime override of mode(); pins until the next call. */
-void set_mode(Mode m);
-
 /** True when the packed path is the faster engine on this host right
  *  now (a SIMD gemm kernel is active). */
 bool packed_profitable();
 
 /**
- * The routing decision a frozen layer makes per forward: @p packed_only
- * is true when the layer has no FP32 grid values left to fall back to.
+ * The routing decision a frozen layer makes per forward: packed when
+ * the layer has no FP32 grid to fall back to (@p packed_only) or when
+ * packed_profitable().
  */
 bool route_packed(bool packed_only);
-
-/** Packed GEMMs executed since process start (routing observability:
- *  proves a forward actually took the packed path). */
-std::uint64_t call_count();
 
 /**
  * C = X * W^T with X[M, K] float activations and W[N, K] packed:

@@ -238,8 +238,7 @@ DlrmMini::save_frozen(const std::string& path)
 }
 
 DlrmMini
-DlrmMini::load_frozen(const artifact::ArtifactReader& reader,
-                      const artifact::LoadOptions& opts)
+DlrmMini::load_frozen(const artifact::ArtifactReader& reader)
 {
     if (reader.family() != artifact::ModelFamily::Dlrm)
         throw artifact::SchemaError(
@@ -264,7 +263,7 @@ DlrmMini::load_frozen(const artifact::ArtifactReader& reader,
     DlrmMini m(std::move(cfg));
     std::vector<nn::FrozenStateRef> refs;
     m.collect_state("", refs);
-    reader.load_into(refs, opts);
+    reader.load_into(refs);
     return m;
 }
 

@@ -81,8 +81,7 @@ class DlrmMini
     void save_frozen(const std::string& path);
 
     /** Rebuild a serve-ready model from an opened artifact. */
-    static DlrmMini load_frozen(const artifact::ArtifactReader& reader,
-                                const artifact::LoadOptions& opts = {});
+    static DlrmMini load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */
     static DlrmMini load_frozen(const std::string& path);

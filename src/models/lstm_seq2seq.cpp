@@ -222,8 +222,7 @@ LstmSeq2Seq::save_frozen(const std::string& path)
 }
 
 LstmSeq2Seq
-LstmSeq2Seq::load_frozen(const artifact::ArtifactReader& reader,
-                         const artifact::LoadOptions& opts)
+LstmSeq2Seq::load_frozen(const artifact::ArtifactReader& reader)
 {
     if (reader.family() != artifact::ModelFamily::Seq2Seq)
         throw artifact::SchemaError(
@@ -241,7 +240,7 @@ LstmSeq2Seq::load_frozen(const artifact::ArtifactReader& reader,
     LstmSeq2Seq m(std::move(cfg));
     std::vector<nn::FrozenStateRef> refs;
     m.collect_state("", refs);
-    reader.load_into(refs, opts);
+    reader.load_into(refs);
     return m;
 }
 

@@ -78,8 +78,7 @@ class LstmSeq2Seq
 
     /** Rebuild a serve-ready model from an opened artifact. */
     static LstmSeq2Seq
-    load_frozen(const artifact::ArtifactReader& reader,
-                const artifact::LoadOptions& opts = {});
+    load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */
     static LstmSeq2Seq load_frozen(const std::string& path);

@@ -96,8 +96,7 @@ MlpClassifier::save_frozen(const std::string& path)
 }
 
 MlpClassifier
-MlpClassifier::load_frozen(const artifact::ArtifactReader& reader,
-                           const artifact::LoadOptions& opts)
+MlpClassifier::load_frozen(const artifact::ArtifactReader& reader)
 {
     if (reader.family() != artifact::ModelFamily::Mlp)
         throw artifact::SchemaError(
@@ -117,7 +116,7 @@ MlpClassifier::load_frozen(const artifact::ArtifactReader& reader,
                     seed);
     std::vector<nn::FrozenStateRef> refs;
     m.collect_state("", refs);
-    reader.load_into(refs, opts);
+    reader.load_into(refs);
     return m;
 }
 

@@ -68,8 +68,7 @@ class MlpClassifier
     /** Rebuild a serve-ready model from an already-opened artifact;
      *  loaded FrozenTensor handles view (and share) its mapping. */
     static MlpClassifier
-    load_frozen(const artifact::ArtifactReader& reader,
-                const artifact::LoadOptions& opts = {});
+    load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */
     static MlpClassifier load_frozen(const std::string& path);

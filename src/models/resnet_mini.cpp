@@ -204,8 +204,7 @@ ResNetMini::save_frozen(const std::string& path)
 }
 
 ResNetMini
-ResNetMini::load_frozen(const artifact::ArtifactReader& reader,
-                        const artifact::LoadOptions& opts)
+ResNetMini::load_frozen(const artifact::ArtifactReader& reader)
 {
     if (reader.family() != artifact::ModelFamily::ResNet)
         throw artifact::SchemaError(
@@ -221,7 +220,7 @@ ResNetMini::load_frozen(const artifact::ArtifactReader& reader,
                  seed);
     std::vector<nn::FrozenStateRef> refs;
     m.collect_state("", refs);
-    reader.load_into(refs, opts);
+    reader.load_into(refs);
     return m;
 }
 

@@ -91,8 +91,7 @@ class ResNetMini
 
     /** Rebuild a serve-ready model from an opened artifact. */
     static ResNetMini
-    load_frozen(const artifact::ArtifactReader& reader,
-                const artifact::LoadOptions& opts = {});
+    load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */
     static ResNetMini load_frozen(const std::string& path);

@@ -681,8 +681,7 @@ BertMini::save_frozen(const std::string& path)
 }
 
 BertMini
-BertMini::load_frozen(const artifact::ArtifactReader& reader,
-                      const artifact::LoadOptions& opts)
+BertMini::load_frozen(const artifact::ArtifactReader& reader)
 {
     check_family(reader, artifact::ModelFamily::Bert, "BERT");
     artifact::ByteReader r = reader.config();
@@ -691,7 +690,7 @@ BertMini::load_frozen(const artifact::ArtifactReader& reader,
     BertMini m(cfg, num_classes);
     std::vector<nn::FrozenStateRef> refs;
     m.collect_state("", refs);
-    reader.load_into(refs, opts);
+    reader.load_into(refs);
     return m;
 }
 
@@ -728,15 +727,14 @@ GptMini::save_frozen(const std::string& path)
 }
 
 GptMini
-GptMini::load_frozen(const artifact::ArtifactReader& reader,
-                     const artifact::LoadOptions& opts)
+GptMini::load_frozen(const artifact::ArtifactReader& reader)
 {
     check_family(reader, artifact::ModelFamily::Gpt, "GPT");
     artifact::ByteReader r = reader.config();
     GptMini m(read_transformer_config(r));
     std::vector<nn::FrozenStateRef> refs;
     m.collect_state("", refs);
-    reader.load_into(refs, opts);
+    reader.load_into(refs);
     return m;
 }
 

@@ -137,8 +137,7 @@ class BertMini
     void save_frozen(const std::string& path);
 
     /** Rebuild a serve-ready model from an opened artifact. */
-    static BertMini load_frozen(const artifact::ArtifactReader& reader,
-                                const artifact::LoadOptions& opts = {});
+    static BertMini load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */
     static BertMini load_frozen(const std::string& path);
@@ -260,8 +259,7 @@ class GptMini
     /** Rebuild a serve-ready model from an opened artifact: every
      *  FrozenTensor handle views the reader's single mapping, so N
      *  models (serve replicas) loaded from one reader share it. */
-    static GptMini load_frozen(const artifact::ArtifactReader& reader,
-                               const artifact::LoadOptions& opts = {});
+    static GptMini load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */
     static GptMini load_frozen(const std::string& path);

@@ -158,7 +158,7 @@ MultiHeadAttention::packed_act_act() const
     const core::kernels::QuantPlan plan =
         core::kernels::make_quant_plan(*spec_.forward);
     return gemm::operand_eligible(plan) &&
-           gemm::gemm_compatible(plan, plan) && gemm::route_packed(false);
+           gemm::gemm_compatible(plan, plan) && gemm::packed_profitable();
 }
 
 void
@@ -554,7 +554,7 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
 
     const bool packed_exec = packed_act_act();
     const gemm::GemmPlan gp = gemm::make_gemm_plan(aplan, aplan);
-    // Grid fallback (packed routing off): dequantize the SAME stored
+    // Grid fallback (scalar gemm kernel): dequantize the SAME stored
     // encodings — never re-quantize — so it cannot drift from the
     // legacy fake-quant path even where re-quantization would not be
     // idempotent.

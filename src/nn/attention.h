@@ -176,13 +176,13 @@ class MultiHeadAttention : public Layer
 
     /** True when a prefix cache for this layer stores packed MX streams
      *  (causal + pow2-block forward format the packed GEMM can pair
-     *  with itself).  Mode-independent: storage is native whenever the
-     *  format permits; MX_GEMM only picks the execution engine. */
+     *  with itself).  Storage is native whenever the format permits;
+     *  the active gemm kernel only picks the execution engine. */
     bool native_cache_format() const;
 
     /** True when this eval forward's activation-activation contractions
      *  (Q K^T, P V) run on the packed kernels: frozen layer, native
-     *  format, and the MX_GEMM policy routes packed. */
+     *  format, and a SIMD gemm kernel is active (gemm::route_packed). */
     bool packed_act_act() const;
 
     /** The three input projections, through the quantize-once

@@ -6,6 +6,7 @@
 #include "core/check.h"
 #include "core/kernels/dispatch.h"
 #include "gemm/gemm_plan.h"
+#include "gemm/packed_gemm.h"
 #include "nn/quant.h"
 
 namespace mx {
@@ -89,7 +90,8 @@ unpack_rows_pow2(std::span<const std::uint8_t> bytes,
 FrozenTensor
 FrozenTensor::build(const Tensor& w,
                     const std::optional<core::BdrFormat>& fmt,
-                    core::RoundingMode rounding)
+                    core::RoundingMode rounding,
+                    const std::optional<core::BdrFormat>& act)
 {
     MX_CHECK_ARG(w.ndim() == 2, "FrozenTensor: needs a 2-d weight, got "
                                     << w.shape_string());
@@ -107,7 +109,6 @@ FrozenTensor::build(const Tensor& w,
                  "a stochastic snapshot cannot reproduce per-call "
                  "fake quantization");
     p.format = *fmt;
-    p.values = quantize_rows(w, *fmt, rounding);
     if (is_pow2_block(*fmt)) {
         p.plan = core::kernels::make_quant_plan(*fmt);
         p.packed = pack_rows_pow2(*fmt, *p.plan, w, rounding);
@@ -124,6 +125,8 @@ FrozenTensor::build(const Tensor& w,
         // quantize_rows and the codec, so the flat pack matches.
         p.packed = formats::pack(*fmt, w.span(), rounding);
     }
+    if (f.needs_grid(act))
+        p.values = quantize_rows(w, *fmt, rounding);
     return f;
 }
 
@@ -133,7 +136,7 @@ FrozenTensor::from_packed(const core::BdrFormat& fmt,
                           std::size_t bit_size, std::int64_t rows,
                           std::int64_t cols,
                           std::shared_ptr<const void> keepalive,
-                          bool materialize_values)
+                          const std::optional<core::BdrFormat>& act)
 {
     MX_CHECK_ARG(rows > 0 && cols > 0,
                  "FrozenTensor: from_packed needs a non-empty shape, got "
@@ -166,9 +169,7 @@ FrozenTensor::from_packed(const core::BdrFormat& fmt,
             p.operand = gemm::PackedOperand::decode(
                 *p.plan, bytes, static_cast<std::size_t>(rows),
                 static_cast<std::size_t>(cols));
-        // Without a gemm view the grid tensor is the only execution
-        // form, so materialization is not optional.
-        if (materialize_values || !p.operand.has_value()) {
+        if (f.needs_grid(act)) {
             p.values = Tensor({rows, cols});
             unpack_rows_pow2(bytes, *p.plan, rows, cols, p.values);
         }
@@ -192,15 +193,19 @@ FrozenTensor::from_packed(const core::BdrFormat& fmt,
     return f;
 }
 
-void
-FrozenTensor::drop_values()
+bool
+FrozenTensor::pairs_with(const std::optional<core::BdrFormat>& act) const
 {
-    MX_CHECK_ARG(valid(), "FrozenTensor: drop_values() before build()");
-    MX_CHECK_ARG(p_->operand.has_value(),
-                 "FrozenTensor: drop_values() needs an engaged gemm "
-                 "view — without it the grid tensor is the only "
-                 "execution form");
-    p_->values = tensor::Tensor();
+    return p_->operand.has_value() && act.has_value() &&
+           is_pow2_block(*act) &&
+           gemm::gemm_compatible(core::kernels::make_quant_plan(*act),
+                                 p_->operand->plan());
+}
+
+bool
+FrozenTensor::needs_grid(const std::optional<core::BdrFormat>& act) const
+{
+    return !(pairs_with(act) && gemm::packed_profitable());
 }
 
 double

@@ -20,13 +20,15 @@
  * FrozenTensor is O(1) and copies alias the same packed weight bytes.
  * This is what makes replica serving cheap (serve/engine.h): N model
  * clones share every frozen artifact and own only their mutable eval
- * scratch.  The single mutating operation, drop_values(), releases the
- * FP32 grid tensor through *every* handle (it is the same snapshot);
- * do it while freezing, before replicas start serving.
+ * scratch.  The payload is immutable after construction.
  *
- * When the packed GEMM serves a layer, the FP32 grid tensor is only a
- * fallback; drop_values() releases it so a frozen model's weight memory
- * is the packed artifact alone — no dequantized FP32 copy anywhere.
+ * The FP32 grid tensor is decoded only where a layer reads it.  A
+ * frozen Linear whose activation format pairs with the gemm view runs
+ * the packed GEMM whenever a SIMD gemm kernel is active, so a snapshot
+ * built for it on such a host skips the grid: its weight
+ * memory is the packed artifact alone.  Conv2d, Lstm and Embedding
+ * read the grid, and so does a Linear that cannot pair or that serves
+ * on the scalar kernel.
  *
  * Freezing requires deterministic rounding: a stochastic-rounding
  * snapshot could never reproduce the per-call result.
@@ -64,11 +66,19 @@ class FrozenTensor
      * @param fmt      target format; nullopt freezes the FP32 values
      *                 as-is (no packed artifact)
      * @param rounding mantissa rounding; must be deterministic
+     * @param act      activation format of the packed-capable matmul
+     *                 that reads the snapshot (a Linear's spec.forward);
+     *                 nullopt for layers that read only the grid.  The
+     *                 FP32 grid is skipped when @p act pairs with the
+     *                 gemm view and a SIMD gemm kernel is active: that
+     *                 matmul then always routes packed (needs_grid).
      */
     static FrozenTensor build(const tensor::Tensor& w,
                               const std::optional<core::BdrFormat>& fmt,
                               core::RoundingMode rounding =
-                                  core::RoundingMode::NearestEven);
+                                  core::RoundingMode::NearestEven,
+                              const std::optional<core::BdrFormat>& act =
+                                  std::nullopt);
 
     /**
      * Rehydrate a snapshot from an existing packed bit stream — the
@@ -88,17 +98,22 @@ class FrozenTensor
      * @param bit_size   exact payload bits (trailing pad bits excluded)
      * @param rows,cols  snapshot shape
      * @param keepalive  shared handle keeping @p bytes alive
-     * @param materialize_values  decode the FP32 grid tensor eagerly;
-     *                   pass false for packed-GEMM-only serving (the
-     *                   drop_values() memory shape from the start).
-     *                   Forced on when the format has no gemm view.
+     * @param act        as for build()
      */
     static FrozenTensor from_packed(const core::BdrFormat& fmt,
                                     std::span<const std::uint8_t> bytes,
                                     std::size_t bit_size,
                                     std::int64_t rows, std::int64_t cols,
                                     std::shared_ptr<const void> keepalive,
-                                    bool materialize_values = true);
+                                    const std::optional<core::BdrFormat>&
+                                        act = std::nullopt);
+
+    /**
+     * True when a matmul quantizing its activations under @p act can
+     * run the packed GEMM on this snapshot: the snapshot has a gemm
+     * view and @p act is a pow2-block format whose plan pairs with it.
+     */
+    bool pairs_with(const std::optional<core::BdrFormat>& act) const;
 
     /** True once build() has run. */
     bool valid() const { return p_->built; }
@@ -107,8 +122,8 @@ class FrozenTensor
     bool quantized() const { return p_->format.has_value(); }
 
     /** The cached serving tensor: bit-identical to
-     *  quantize_rows(w, fmt) (or w itself for nullopt).  Empty after
-     *  drop_values(); use unpacked() to rebuild it on demand. */
+     *  quantize_rows(w, fmt) (or w itself for nullopt).  Empty when
+     *  needs_grid() skipped it; unpacked() rebuilds it on demand. */
     const tensor::Tensor& values() const { return p_->values; }
 
     /** The freeze format (nullopt = FP32 passthrough). */
@@ -168,7 +183,7 @@ class FrozenTensor
         return p_->operand;
     }
 
-    /** Snapshot shape (valid even after drop_values()). */
+    /** Snapshot shape (valid even without the grid). */
     std::int64_t rows() const { return p_->rows; }
     std::int64_t cols() const { return p_->cols; }
 
@@ -178,16 +193,6 @@ class FrozenTensor
     {
         return p_ == other.p_;
     }
-
-    /**
-     * Release the FP32 grid tensor, keeping the packed artifact and the
-     * gemm view — the serving-memory configuration in which no
-     * dequantized FP32 weight copy exists.  Requires an engaged gemm
-     * view (otherwise the snapshot would lose its only execution form).
-     * Visible through every handle sharing this snapshot; not safe
-     * concurrently with forwards — drop before serving starts.
-     */
-    void drop_values();
 
     /** Storage bits per element of the packed artifact (32 when not
      *  quantized). */
@@ -202,8 +207,12 @@ class FrozenTensor
     tensor::Tensor unpacked() const;
 
   private:
-    /** The snapshot itself; immutable after build() except for
-     *  drop_values(). */
+    /** The one grid rule build() and from_packed() share: false only
+     *  for a snapshot read through a matmul that pairs with it (@p act)
+     *  while a SIMD gemm kernel is active. */
+    bool needs_grid(const std::optional<core::BdrFormat>& act) const;
+
+    /** The snapshot itself; immutable once built. */
     struct Payload
     {
         tensor::Tensor values;

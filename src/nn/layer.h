@@ -61,6 +61,10 @@ struct Param
  *  - storage_format independent storage format slot (Embedding)
  *  - frozen_flag    layers whose frozen() is a bare flag with no
  *                   snapshot (LayerNorm, Embedding)
+ *  - packed_matmul  the slot's snapshot feeds a matmul that can run
+ *                   the packed GEMM under spec->forward (Linear); the
+ *                   reader then decodes its FP32 grid only when
+ *                   FrozenTensor::needs_grid says the layer reads it
  */
 struct FrozenStateRef
 {
@@ -70,6 +74,7 @@ struct FrozenStateRef
     QuantSpec* spec = nullptr;
     std::optional<core::BdrFormat>* storage_format = nullptr;
     bool* frozen_flag = nullptr;
+    bool packed_matmul = false;
 };
 
 /** Base class of all layers. */

@@ -47,32 +47,15 @@ Linear::forward(const Tensor& x, bool train)
     return y;
 }
 
-bool
-Linear::packed_pairable() const
-{
-    // The packed path needs a gemm-ready weight view and an activation
-    // format from the pow2 block family that pairs with it.
-    if (!frozen_weight_.gemm_operand().has_value() ||
-        !spec_.forward.has_value() ||
-        spec_.forward->s_kind != core::ScaleKind::Pow2Hw ||
-        spec_.forward->elem != core::ElementKind::SignMagnitude)
-        return false;
-    return gemm::gemm_compatible(
-        core::kernels::make_quant_plan(*spec_.forward),
-        frozen_weight_.gemm_operand()->plan());
-}
-
 Tensor
 Linear::frozen_matmul(const Tensor& x) const
 {
     // Packed-domain path (Figure 6): when the activation format pairs
-    // with the snapshot's gemm-ready view and the routing policy picks
-    // it (MX_GEMM — packed when a SIMD kernel is active or the FP32
-    // values were dropped), the weight matmul runs on the MX bit
-    // stream's integer mantissas — no dequantized FP32 weight copy is
-    // touched or allocated.
-    const bool packed_only = frozen_weight_.values().numel() == 0;
-    if (packed_pairable() && gemm::route_packed(packed_only))
+    // with the snapshot's gemm-ready view and the layer routes packed
+    // (a SIMD kernel is active, or freeze/load skipped the grid), the
+    // weight matmul runs on the MX bit stream's integer mantissas — no
+    // dequantized FP32 weight copy is touched or allocated.
+    if (packed_activation_ready())
         return gemm::matmul_nt_packed(
             x, core::kernels::make_quant_plan(*spec_.forward),
             *frozen_weight_.gemm_operand(), spec_.rounding);
@@ -81,10 +64,9 @@ Linear::frozen_matmul(const Tensor& x) const
     // bit-identical to the fake-quant path because quantize_rows is
     // deterministic.
     MX_CHECK_ARG(frozen_weight_.values().numel() > 0,
-                 "Linear: frozen values were dropped and the packed "
-                 "GEMM path is unavailable (MX_GEMM=0, or the spec "
+                 "Linear: the snapshot holds no FP32 grid and the spec "
                  "changed to an activation format that cannot pair "
-                 "with the packed weight)");
+                 "with the packed weight; freeze() again");
     return spec_.forward
         ? tensor::matmul_nt(quantize_rows(x, *spec_.forward,
                                           spec_.rounding),
@@ -95,14 +77,14 @@ Linear::frozen_matmul(const Tensor& x) const
 bool
 Linear::packed_activation_ready() const
 {
-    return frozen() && packed_pairable() &&
+    return frozen() && frozen_weight_.pairs_with(spec_.forward) &&
            gemm::route_packed(frozen_weight_.values().numel() == 0);
 }
 
 Tensor
 Linear::forward_packed_activation(const gemm::PackedOperand& xq)
 {
-    MX_CHECK_ARG(frozen() && packed_pairable(),
+    MX_CHECK_ARG(frozen() && frozen_weight_.pairs_with(spec_.forward),
                  "Linear: forward_packed_activation needs a frozen "
                  "layer whose weight pairs with the activation format");
     MX_CHECK_ARG(xq.cols() == static_cast<std::size_t>(in_),
@@ -118,25 +100,11 @@ Linear::forward_packed_activation(const gemm::PackedOperand& xq)
 }
 
 void
-Linear::drop_frozen_values()
-{
-    MX_CHECK_ARG(frozen(), "Linear: drop_frozen_values() needs freeze()");
-    // Without a pairable activation format the packed path could never
-    // engage and dropping the grid tensor would brick every future
-    // forward — reject up front instead.
-    MX_CHECK_ARG(packed_pairable(),
-                 "Linear: drop_frozen_values() needs a spec the packed "
-                 "GEMM can serve (pow2-block activation format pairing "
-                 "with the packed weight)");
-    frozen_weight_.drop_values();
-}
-
-void
 Linear::freeze()
 {
     frozen_weight_ = FrozenTensor::build(weight_.value,
                                          spec_.weight_format(),
-                                         spec_.rounding);
+                                         spec_.rounding, spec_.forward);
 }
 
 void
@@ -195,6 +163,7 @@ Linear::collect_state(const std::string& prefix,
     w.param = &weight_;
     w.frozen = &frozen_weight_;
     w.spec = &spec_;
+    w.packed_matmul = true;
     out.push_back(w);
     if (with_bias_) {
         FrozenStateRef b;

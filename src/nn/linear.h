@@ -42,7 +42,9 @@ class Linear : public Layer
     void collect_state(const std::string& prefix,
                        std::vector<FrozenStateRef>& out) override;
 
-    /** Snapshot Q(W) under the current spec's weight format. */
+    /** Snapshot Q(W) under the current spec's weight format; the FP32
+     *  grid is kept only if the frozen forward reads it
+     *  (FrozenTensor::needs_grid on the activation format). */
     void freeze() override;
     /** Adopt @p spec, then freeze. */
     void freeze(const QuantSpec& spec) override;
@@ -53,21 +55,13 @@ class Linear : public Layer
     const FrozenTensor& frozen_weight() const { return frozen_weight_; }
 
     /**
-     * Release the snapshot's FP32 grid tensor, serving exclusively from
-     * the packed artifact through the mx_gemm packed-domain path (the
-     * snapshot must carry a gemm view).  After this, no dequantized
-     * FP32 copy of the weight exists anywhere in the layer.
-     */
-    void drop_frozen_values();
-
-    /**
-     * True when forward_packed_activation may be called right now:
-     * frozen, the activation format pairs with the packed weight, and
-     * the MX_GEMM routing policy would take the packed path for this
-     * layer's own forward anyway.  Callers that feed one activation
-     * matrix to several layers (attention's wq/wk/wv share the post-LN
-     * input) check this on each, quantize once, and hand the packed
-     * view to all of them — the PackedOperand handoff.
+     * True when this layer's frozen forward runs the packed GEMM right
+     * now: frozen, the activation format pairs with the packed weight,
+     * and gemm::route_packed picks it (no grid, or a SIMD kernel).
+     * Callers that feed one activation matrix to several layers
+     * (attention's wq/wk/wv share the post-LN input) check this on
+     * each, quantize once, and hand the packed view to all of them —
+     * the PackedOperand handoff.
      */
     bool packed_activation_ready() const;
 
@@ -93,10 +87,6 @@ class Linear : public Layer
     std::int64_t out_features() const { return out_; }
 
   private:
-    /** True when the frozen snapshot and the current activation format
-     *  can pair into a packed-domain GEMM. */
-    bool packed_pairable() const;
-
     /** The frozen weight matmul: packed-domain mx_gemm when the
      *  snapshot and activation format allow it, dequantized grid
      *  values otherwise. */

@@ -6,12 +6,13 @@
  * split (src/artifact/):
  *
  *  1. Round-trip property: every model family (and through them every
- *     layer type), across MX9/MX6/MX4, both kernel dispatch legs and
- *     both serving paths, forwards bit-identically after
- *     freeze -> save -> mmap-load — including ragged row widths, the
- *     Table IV weight/activation split specs, the mixed-precision
- *     keep-edges-FP32 recipe, and values-dropped (packed-GEMM-only)
- *     loads.
+ *     layer type), across MX9/MX6/MX4 and both kernel dispatch legs
+ *     (and so both serving paths: packed GEMM on SIMD, grid values on
+ *     scalar), forwards bit-identically after freeze -> save ->
+ *     mmap-load — including ragged row widths, the Table IV
+ *     weight/activation split specs, the mixed-precision
+ *     keep-edges-FP32 recipe — and a load decodes the FP32 grid only
+ *     for the layers that read it.
  *
  *  2. Corruption matrix: every distinct way a file can be bad —
  *     truncation, bad magic, unknown version, a flipped bit in each
@@ -196,36 +197,30 @@ token_batch(int n, int seq_len, int vocab, std::uint64_t seed)
 
 TEST(ArtifactRoundTrip, MlpAllFormatsBothLegsBothServePaths)
 {
-    // The serving-path axis (packed GEMM vs dequantized values) and the
-    // kernel dispatch axis are both covered: whatever path executes,
-    // the original frozen model and its loaded twin hold the same bit
+    // The dispatch leg picks the serving path (packed GEMM on SIMD,
+    // dequantized values on scalar): whatever path executes, the
+    // original frozen model and its loaded twin hold the same bit
     // streams, so they must agree exactly.
-    for (gemm::Mode mode : {gemm::Mode::Off, gemm::Mode::Auto}) {
-        gemm::set_mode(mode);
-        for_each_dispatch([&](const char* leg) {
-            for (const auto& fmt : mx_formats()) {
-                models::MlpClassifier mlp(
-                    19, {24, 16}, 4, nn::QuantSpec::forward_only(fmt),
-                    61);
-                mlp.freeze();
-                const std::string path = tmp_path("rt_mlp");
-                mlp.save_frozen(path);
+    for_each_dispatch([&](const char* leg) {
+        for (const auto& fmt : mx_formats()) {
+            models::MlpClassifier mlp(
+                19, {24, 16}, 4, nn::QuantSpec::forward_only(fmt), 61);
+            mlp.freeze();
+            const std::string path = tmp_path("rt_mlp");
+            mlp.save_frozen(path);
 
-                models::MlpClassifier loaded =
-                    models::MlpClassifier::load_frozen(path);
-                ASSERT_TRUE(loaded.frozen());
-                Tensor x = fixed_input(5, 19);
-                EXPECT_EQ(tensor::max_abs_diff(mlp.logits(x, false),
-                                               loaded.logits(x, false)),
-                          0.0)
-                    << fmt.name << " leg=" << leg
-                    << " mode=" << static_cast<int>(mode);
-                // Loaded models are serve-only.
-                EXPECT_THROW(loaded.logits(x, true), ArgumentError);
-            }
-        });
-    }
-    gemm::set_mode(gemm::Mode::Auto);
+            models::MlpClassifier loaded =
+                models::MlpClassifier::load_frozen(path);
+            ASSERT_TRUE(loaded.frozen());
+            Tensor x = fixed_input(5, 19);
+            EXPECT_EQ(tensor::max_abs_diff(mlp.logits(x, false),
+                                           loaded.logits(x, false)),
+                      0.0)
+                << fmt.name << " leg=" << leg;
+            // Loaded models are serve-only.
+            EXPECT_THROW(loaded.logits(x, true), ArgumentError);
+        }
+    });
 }
 
 TEST(ArtifactRoundTrip, SplitSpecAndMixedPrecisionSurviveTheFile)
@@ -272,49 +267,6 @@ TEST(ArtifactRoundTrip, SplitSpecAndMixedPrecisionSurviveTheFile)
                                            loaded.logits(x, false)),
                       0.0)
                 << leg;
-        }
-    });
-}
-
-TEST(ArtifactRoundTrip, LinearDropValuesServesFromTheStreamAlone)
-{
-    // materialize_values = false: the loaded layer holds only the
-    // mapped stream + execution view (the drop_values() memory shape),
-    // and MX_GEMM=auto routes its matmul through the packed domain
-    // because the grid values are gone.  Both sides then execute the
-    // identical packed kernel contract -> bit-identical on every leg.
-    gemm::set_mode(gemm::Mode::Auto);
-    for_each_dispatch([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            stats::Rng rng(64);
-            nn::Linear layer(19, 8, nn::QuantSpec::forward_only(fmt),
-                             rng);
-            layer.freeze();
-
-            ArtifactWriter w(ModelFamily::Mlp, {});
-            std::vector<nn::FrozenStateRef> refs;
-            layer.collect_state("", refs);
-            w.add_all(refs);
-            const std::string path = tmp_path("rt_drop");
-            w.write(path);
-
-            // Original drops its FP32 grid -> packed-GEMM-only.
-            layer.drop_frozen_values();
-
-            stats::Rng rng2(99);
-            nn::Linear loaded(19, 8, nn::QuantSpec::fp32(), rng2);
-            std::vector<nn::FrozenStateRef> slots;
-            loaded.collect_state("", slots);
-            ArtifactReader reader(path);
-            reader.load_into(slots, LoadOptions{false});
-            ASSERT_TRUE(loaded.frozen());
-            EXPECT_EQ(loaded.frozen_weight().values().numel(), 0);
-
-            Tensor x = fixed_input(4, 19);
-            EXPECT_EQ(tensor::max_abs_diff(layer.forward(x, false),
-                                           loaded.forward(x, false)),
-                      0.0)
-                << fmt.name << " leg=" << leg;
         }
     });
 }
@@ -511,6 +463,249 @@ TEST(ArtifactRoundTrip, Seq2SeqEvalLossAndGreedyDecode)
     data::SequenceBatch batch = token_batch(2, cfg.seq_len, cfg.vocab, 70);
     EXPECT_EQ(model.eval_loss(batch), loaded.eval_loss(batch));
     EXPECT_EQ(model.decode(batch.row(0)), loaded.decode(batch.row(0)));
+}
+
+namespace {
+
+/**
+ * Check a frozen or loaded model's FP32-grid memory shape and return
+ * how many packed slots hold no grid.  With a SIMD gemm kernel active
+ * (@p simd), a Linear slot whose activation format pairs with its
+ * packed weight holds no grid; every other packed slot — Conv2d, Lstm,
+ * Embedding, a Linear that cannot pair, anything frozen on the scalar
+ * kernel — holds one.
+ */
+template <typename Model>
+std::size_t
+expect_grid_shape(Model& model, bool simd, const std::string& what)
+{
+    std::vector<nn::FrozenStateRef> refs;
+    model.collect_state("", refs);
+    std::size_t packed_only = 0;
+    for (const nn::FrozenStateRef& ref : refs) {
+        if (ref.frozen == nullptr || !ref.frozen->valid() ||
+            !ref.frozen->gemm_operand().has_value())
+            continue;
+        const bool pairs =
+            ref.packed_matmul && ref.spec->forward.has_value();
+        const bool grid = ref.frozen->values().numel() > 0;
+        EXPECT_EQ(grid, !(simd && pairs)) << what << " " << ref.name;
+        packed_only += grid ? 0 : 1;
+    }
+    return packed_only;
+}
+
+/**
+ * Freeze a model from @p make on each dispatch leg, save it, load it,
+ * and check the grid shape of both; then @p serve must find the two
+ * bit-identical on both legs — the loaded model on the same packed or
+ * grid route as its original.  @p pairable says whether the family has
+ * a Linear that pairs with its weight (and so goes grid-free on SIMD).
+ */
+template <typename Model, typename Make, typename Serve>
+void
+check_load_keeps_grid_only_where_read(const std::string& family,
+                                      bool pairable, Make make,
+                                      Serve serve)
+{
+    using core::kernels::SimdLevel;
+    for (SimdLevel freeze_leg : {SimdLevel::Avx512, SimdLevel::Scalar}) {
+        core::kernels::set_simd_level(freeze_leg);
+        const bool simd = gemm::packed_profitable();
+        const std::string ctx =
+            family + (simd ? " frozen on SIMD" : " frozen on scalar");
+        Model model = make();
+        model.freeze();
+        const std::string path = tmp_path("grid_" + family);
+        model.save_frozen(path);
+        Model loaded = Model::load_frozen(path);
+        ASSERT_TRUE(loaded.frozen()) << ctx;
+
+        EXPECT_EQ(expect_grid_shape(model, simd, ctx + " original") > 0,
+                  simd && pairable)
+            << ctx;
+        EXPECT_EQ(expect_grid_shape(loaded, simd, ctx + " loaded") > 0,
+                  simd && pairable)
+            << ctx;
+
+        for (SimdLevel serve_leg : {SimdLevel::Avx512, SimdLevel::Scalar}) {
+            core::kernels::set_simd_level(serve_leg);
+            serve(model, loaded,
+                  ctx + " served on level " +
+                      std::to_string(static_cast<int>(
+                          core::kernels::active_simd_level())));
+        }
+    }
+    core::kernels::set_force_scalar(false);
+}
+
+/** The small single-layer transformer the grid-shape tests share. */
+models::TransformerConfig
+grid_transformer_config()
+{
+    models::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.d_model = 32;
+    cfg.heads = 2;
+    cfg.layers = 1;
+    cfg.seq_len = 8;
+    cfg.spec = nn::QuantSpec::forward_only(core::mx9());
+    return cfg;
+}
+
+data::ClickBatch
+click_batch(const models::DlrmConfig& cfg, std::uint64_t seed)
+{
+    data::ClickBatch batch;
+    batch.n = 4;
+    stats::Rng rng(seed);
+    batch.dense = Tensor::randn({batch.n, cfg.dense_dim}, rng);
+    for (int i = 0; i < batch.n * cfg.num_tables; ++i)
+        batch.categorical.push_back(
+            static_cast<int>(rng.next_u64() % cfg.vocab_per_table));
+    batch.labels = {0, 1, 1, 0};
+    return batch;
+}
+
+} // namespace
+
+// Every family loads and serves bit-identically to its frozen
+// original, and only the layers that read the FP32 grid (Conv2d, Lstm,
+// Embedding, a Linear that cannot pair) get it from freeze or load.
+
+TEST(ArtifactGridShape, Mlp)
+{
+    const Tensor x = fixed_input(5, 19);
+    check_load_keeps_grid_only_where_read<models::MlpClassifier>(
+        "mlp", true,
+        [] {
+            return models::MlpClassifier(
+                19, {24, 16}, 4,
+                nn::QuantSpec::forward_only(core::mx6()), 71);
+        },
+        [&](models::MlpClassifier& a, models::MlpClassifier& b,
+            const std::string& ctx) {
+            EXPECT_EQ(tensor::max_abs_diff(a.logits(x, false),
+                                           b.logits(x, false)),
+                      0.0)
+                << ctx;
+        });
+}
+
+TEST(ArtifactGridShape, MlpWeightsOnlyKeepsEveryGrid)
+{
+    // MX9 weights under FP32 activations: the Linears cannot pair, so
+    // they keep and serve on their grids even with a SIMD kernel.
+    const Tensor x = fixed_input(5, 19);
+    check_load_keeps_grid_only_where_read<models::MlpClassifier>(
+        "mlp_weights_only", false,
+        [] {
+            nn::QuantSpec spec;
+            spec.weight_forward = core::mx9();
+            return models::MlpClassifier(19, {24, 16}, 4, spec, 72);
+        },
+        [&](models::MlpClassifier& a, models::MlpClassifier& b,
+            const std::string& ctx) {
+            EXPECT_EQ(tensor::max_abs_diff(a.logits(x, false),
+                                           b.logits(x, false)),
+                      0.0)
+                << ctx;
+        });
+}
+
+TEST(ArtifactGridShape, Gpt)
+{
+    const models::TransformerConfig cfg = grid_transformer_config();
+    const data::SequenceBatch batch =
+        token_batch(2, cfg.seq_len, cfg.vocab, 73);
+    check_load_keeps_grid_only_where_read<models::GptMini>(
+        "gpt", true, [&] { return models::GptMini(cfg); },
+        [&](models::GptMini& a, models::GptMini& b,
+            const std::string& ctx) {
+            EXPECT_EQ(tensor::max_abs_diff(a.logits(batch, false),
+                                           b.logits(batch, false)),
+                      0.0)
+                << ctx;
+        });
+}
+
+TEST(ArtifactGridShape, Bert)
+{
+    const models::TransformerConfig cfg = grid_transformer_config();
+    const data::SequenceBatch batch =
+        token_batch(2, cfg.seq_len, cfg.vocab, 74);
+    check_load_keeps_grid_only_where_read<models::BertMini>(
+        "bert", true, [&] { return models::BertMini(cfg, 3); },
+        [&](models::BertMini& a, models::BertMini& b,
+            const std::string& ctx) {
+            EXPECT_EQ(tensor::max_abs_diff(a.class_logits(batch, false),
+                                           b.class_logits(batch, false)),
+                      0.0)
+                << ctx;
+            EXPECT_EQ(tensor::max_abs_diff(a.qa_logits(batch, false),
+                                           b.qa_logits(batch, false)),
+                      0.0)
+                << ctx;
+        });
+}
+
+TEST(ArtifactGridShape, ResNet)
+{
+    stats::Rng rng(75);
+    const Tensor imgs = Tensor::randn({2, 1, 8, 8}, rng);
+    check_load_keeps_grid_only_where_read<models::ResNetMini>(
+        "resnet", true,
+        [] {
+            return models::ResNetMini(
+                8, 4, 3, nn::QuantSpec::forward_only(core::mx6()), 76);
+        },
+        [&](models::ResNetMini& a, models::ResNetMini& b,
+            const std::string& ctx) {
+            EXPECT_EQ(tensor::max_abs_diff(a.logits(imgs, false),
+                                           b.logits(imgs, false)),
+                      0.0)
+                << ctx;
+        });
+}
+
+TEST(ArtifactGridShape, Lstm)
+{
+    models::Seq2SeqConfig cfg;
+    cfg.vocab = 12;
+    cfg.embed_dim = 8;
+    cfg.hidden_dim = 12;
+    cfg.seq_len = 6;
+    cfg.spec = nn::QuantSpec::forward_only(core::mx9());
+    const data::SequenceBatch batch =
+        token_batch(2, cfg.seq_len, cfg.vocab, 77);
+    check_load_keeps_grid_only_where_read<models::LstmSeq2Seq>(
+        "lstm", true, [&] { return models::LstmSeq2Seq(cfg); },
+        [&](models::LstmSeq2Seq& a, models::LstmSeq2Seq& b,
+            const std::string& ctx) {
+            EXPECT_EQ(a.eval_loss(batch), b.eval_loss(batch)) << ctx;
+            EXPECT_EQ(a.decode(batch.row(0)), b.decode(batch.row(0)))
+                << ctx;
+        });
+}
+
+TEST(ArtifactGridShape, DlrmWithMxEmbeddingStorage)
+{
+    models::DlrmConfig cfg;
+    cfg.num_tables = 3;
+    cfg.vocab_per_table = 8;
+    cfg.embed_dim = 8;
+    cfg.dense_dim = 4;
+    cfg.bottom_hidden = {8};
+    cfg.top_hidden = {8};
+    cfg.spec = nn::QuantSpec::forward_only(core::mx6());
+    cfg.embedding_storage = core::mx6();
+    const data::ClickBatch batch = click_batch(cfg, 78);
+    check_load_keeps_grid_only_where_read<models::DlrmMini>(
+        "dlrm", true, [&] { return models::DlrmMini(cfg); },
+        [&](models::DlrmMini& a, models::DlrmMini& b,
+            const std::string& ctx) {
+            EXPECT_EQ(a.predict(batch), b.predict(batch)) << ctx;
+        });
 }
 
 // =====================================================================

@@ -198,7 +198,7 @@ TEST(QuantizeRows, RejectsNon2d)
     EXPECT_THROW(nn::quantize_rows(t, core::mx9()), ArgumentError);
 }
 
-TEST(EnvKnobs, SizeFlagAndEnumShareOneRuleSet)
+TEST(EnvKnobs, SizeAndFlagShareOneRuleSet)
 {
     // Unset/empty -> fallback, silently.
     ::unsetenv("MX_TEST_KNOB");
@@ -242,20 +242,5 @@ TEST(EnvKnobs, SizeFlagAndEnumShareOneRuleSet)
     EXPECT_TRUE(core::env::flag_knob("MX_TEST_KNOB", true));
     EXPECT_FALSE(core::env::flag_knob("MX_TEST_KNOB", false));
 
-    // Enums: case-insensitive token match; unknown -> fallback.  The
-    // old MX_GEMM parser mapped "ON" and "2" to Auto in silence.
-    const auto gemm_mode = [](const char* v) {
-        ::setenv("MX_TEST_KNOB", v, 1);
-        return core::env::enum_knob("MX_TEST_KNOB", /*Auto=*/0,
-                                    {{"auto", 0},
-                                     {"1", 1},
-                                     {"on", 1},
-                                     {"0", 2},
-                                     {"off", 2}});
-    };
-    EXPECT_EQ(gemm_mode("ON"), 1);
-    EXPECT_EQ(gemm_mode(" auto "), 0);
-    EXPECT_EQ(gemm_mode("OFF"), 2);
-    EXPECT_EQ(gemm_mode("2"), 0) << "unknown token falls back";
     ::unsetenv("MX_TEST_KNOB");
 }

@@ -24,7 +24,6 @@
 
 namespace {
 
-using mx::core::env::enum_knob;
 using mx::core::env::flag_knob;
 using mx::core::env::size_knob;
 
@@ -157,26 +156,6 @@ TEST(FlagKnob, MalformedKeepsFallbackEitherWay)
     EXPECT_NE(err.find("true"), std::string::npos);
     EXPECT_EQ(err.find("expected"),
               err.rfind("expected")); // one warning, not two
-}
-
-TEST(EnumKnob, MatchesTrimmedLoweredTokens)
-{
-    ScopedEnv env("MX_TEST_ENUM_OK", "  Packed ");
-    EXPECT_EQ(enum_knob("MX_TEST_ENUM_OK", 0,
-                        {{"auto", 0}, {"packed", 1}, {"scalar", 2}}),
-              1);
-}
-
-TEST(EnumKnob, UnknownTokenFallsBackWithVocabulary)
-{
-    const std::string err = warned("MX_TEST_ENUM_BAD", "turbo", [] {
-        EXPECT_EQ(enum_knob("MX_TEST_ENUM_BAD", 2,
-                            {{"auto", 0}, {"packed", 1}}),
-                  2);
-    });
-    EXPECT_NE(err.find("turbo"), std::string::npos);
-    EXPECT_NE(err.find("auto"), std::string::npos);
-    EXPECT_NE(err.find("packed"), std::string::npos);
 }
 
 } // namespace

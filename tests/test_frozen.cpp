@@ -2,16 +2,20 @@
  * @file
  * Freeze-and-serve property tests: a frozen layer/model's eval forward
  * on the dequantized-values path must be bit-identical to the
- * fake-quant forward for every layer type, across MX9/MX6/MX4 and both
- * kernel dispatch legs; the FrozenTensor packed artifact must decode
- * back to exactly the cached grid values (including ragged row widths
- * whose blocks end in short tails).
+ * fake-quant forward for every layer type, across MX9/MX6/MX4; the
+ * FrozenTensor packed artifact must decode back to exactly the cached
+ * grid values (including ragged row widths whose blocks end in short
+ * tails).
  *
  * The packed-domain mx_gemm serving path is pinned separately in
  * tests/test_gemm.cpp (it accumulates across blocks in FP32, so its
  * contract is FP32-accumulation agreement plus QSNR floors, not bit
- * identity); a suite-wide environment disables it here so these tests
- * always exercise the values fallback they were written for.
+ * identity).  A frozen Linear takes that path whenever a SIMD gemm
+ * kernel is active, so a suite-wide environment pins the scalar
+ * kernels: there every frozen layer keeps its FP32 grid and serves on
+ * the values path these tests were written for.  Layers that read
+ * their grid on every leg (Conv2d, Lstm, Embedding) still run both
+ * dispatch legs.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +34,7 @@
 #include "nn/frozen.h"
 #include "nn/layernorm.h"
 #include "nn/quant.h"
+#include "obs/obs.h"
 #include "stats/rng.h"
 
 using namespace mx;
@@ -38,18 +43,20 @@ using tensor::Tensor;
 
 namespace {
 
-/** Pin the dequantized-values serving path for the whole suite. */
-class LegacyPathEnvironment : public ::testing::Environment
+/** Pin the scalar kernels, and so the dequantized-values serving
+ *  path, for the whole suite. */
+class ValuesPathEnvironment : public ::testing::Environment
 {
   public:
-    void SetUp() override { gemm::set_mode(gemm::Mode::Off); }
-    void TearDown() override { gemm::set_mode(gemm::Mode::Auto); }
+    void SetUp() override { core::kernels::set_force_scalar(true); }
+    void TearDown() override { core::kernels::set_force_scalar(false); }
 };
 
-[[maybe_unused]] const ::testing::Environment* const kLegacyPath =
-    ::testing::AddGlobalTestEnvironment(new LegacyPathEnvironment);
+[[maybe_unused]] const ::testing::Environment* const kValuesPath =
+    ::testing::AddGlobalTestEnvironment(new ValuesPathEnvironment);
 
-/** Run @p body once per kernel dispatch leg, restoring the default. */
+/** Run @p body once per kernel dispatch leg, ending on the suite's
+ *  scalar pin. */
 template <typename Fn>
 void
 for_each_dispatch(Fn&& body)
@@ -58,7 +65,13 @@ for_each_dispatch(Fn&& body)
         core::kernels::set_force_scalar(leg == 1);
         body(leg == 1 ? "scalar" : "default");
     }
-    core::kernels::set_force_scalar(false);
+}
+
+/** Packed GEMMs executed so far (proves which route a forward took). */
+std::uint64_t
+gemm_calls()
+{
+    return obs::counter("gemm.calls").value();
 }
 
 std::vector<core::BdrFormat>
@@ -147,40 +160,36 @@ TEST(RaggedQuantizeRows, KernelPathMatchesPerRowReferenceAndIsRowLocal)
 
 TEST(FrozenLinear, BitIdenticalEvalForward)
 {
-    for_each_dispatch([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            // 19 inputs exercise the ragged row-tail end to end.
-            for (std::int64_t in : {32, 19}) {
-                stats::Rng rng(21);
-                Linear layer(in, 8, QuantSpec::forward_only(fmt), rng);
-                Tensor x = Tensor::randn({4, in}, rng, 2.0f);
-                Tensor fake = layer.forward(x, false);
-                layer.freeze();
-                ASSERT_TRUE(layer.frozen());
-                Tensor frozen = layer.forward(x, false);
-                EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0)
-                    << fmt.name << " in=" << in << " leg=" << leg;
-            }
+    for (const auto& fmt : mx_formats()) {
+        // 19 inputs exercise the ragged row-tail end to end.
+        for (std::int64_t in : {32, 19}) {
+            stats::Rng rng(21);
+            Linear layer(in, 8, QuantSpec::forward_only(fmt), rng);
+            Tensor x = Tensor::randn({4, in}, rng, 2.0f);
+            Tensor fake = layer.forward(x, false);
+            layer.freeze();
+            ASSERT_TRUE(layer.frozen());
+            Tensor frozen = layer.forward(x, false);
+            EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0)
+                << fmt.name << " in=" << in;
         }
-    });
+    }
 }
 
 TEST(FrozenLinear, WeightActivationSplitBitIdentical)
 {
     // Table IV (w, a) pairs: weights MX4, activations MX9.
-    for_each_dispatch([&](const char*) {
-        stats::Rng rng(22);
-        Linear layer(32, 8,
-                     QuantSpec::weights_activations(core::mx4(),
-                                                    core::mx9()),
-                     rng);
-        Tensor x = Tensor::randn({4, 32}, rng);
-        Tensor fake = layer.forward(x, false);
-        layer.freeze();
-        EXPECT_EQ(layer.frozen_weight().format()->name, "MX4");
-        Tensor frozen = layer.forward(x, false);
-        EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
-    });
+    stats::Rng rng(22);
+    Linear layer(32, 8,
+                 QuantSpec::weights_activations(core::mx4(),
+                                                core::mx9()),
+                 rng);
+    Tensor x = Tensor::randn({4, 32}, rng);
+    Tensor fake = layer.forward(x, false);
+    layer.freeze();
+    EXPECT_EQ(layer.frozen_weight().format()->name, "MX4");
+    Tensor frozen = layer.forward(x, false);
+    EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
 }
 
 TEST(FrozenConv2d, BitIdenticalEvalForward)
@@ -201,51 +210,56 @@ TEST(FrozenConv2d, BitIdenticalEvalForward)
 
 TEST(FrozenAttention, BitIdenticalEvalForward)
 {
-    for_each_dispatch([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            stats::Rng rng(24);
-            MultiHeadAttention attn(32, 2, 8, /*causal=*/true,
-                                    QuantSpec::forward_only(fmt), rng);
-            Tensor x = Tensor::randn({2 * 8, 32}, rng);
-            Tensor fake = attn.forward(x, false);
-            attn.freeze();
-            ASSERT_TRUE(attn.frozen());
-            Tensor frozen = attn.forward(x, false);
-            EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0)
-                << fmt.name << " leg=" << leg;
-        }
-    });
+    for (const auto& fmt : mx_formats()) {
+        stats::Rng rng(24);
+        MultiHeadAttention attn(32, 2, 8, /*causal=*/true,
+                                QuantSpec::forward_only(fmt), rng);
+        Tensor x = Tensor::randn({2 * 8, 32}, rng);
+        Tensor fake = attn.forward(x, false);
+        attn.freeze();
+        ASSERT_TRUE(attn.frozen());
+        Tensor frozen = attn.forward(x, false);
+        EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0)
+            << fmt.name;
+    }
 }
 
-TEST(FrozenAttention, PackedActActRouteBitMatchesValuesFallback)
+TEST(FrozenAttention, PackedRouteBitMatchesFakeQuantAtSingleBlockShapes)
 {
     // At single-block shapes (d_model = head_dim = 16, seq_len <= 16)
     // every contraction in the layer — all four projections, Q K^T,
     // and P V — spans one k1 block, where the packed kernels are exact
     // (one shared scale, one double->float rounding on either path).
-    // So the packed activation-activation route (MX_GEMM=1) must match
-    // the values fallback this suite pins (MX_GEMM=0) bit-for-bit,
-    // not merely to accumulation tolerance.
-    for_each_dispatch([&](const char* leg) {
+    // So the frozen forward on the packed route must match the
+    // unfrozen fake-quant forward bit-for-bit, not merely to
+    // accumulation tolerance.  Freezing on the widest level this host
+    // runs skips the projections' grids, so they stay packed on every
+    // gemm kernel, the scalar one included.
+    using core::kernels::SimdLevel;
+    for (SimdLevel level :
+         {SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Scalar}) {
         for (const auto& fmt : mx_formats()) {
+            core::kernels::set_simd_level(SimdLevel::Avx512);
+            const bool simd = gemm::packed_profitable();
             stats::Rng rng(41);
             MultiHeadAttention attn(16, 1, 8, /*causal=*/true,
                                     QuantSpec::forward_only(fmt), rng);
             Tensor x = Tensor::randn({2 * 8, 16}, rng);
+            Tensor fake = attn.forward(x, false);
             attn.freeze();
             ASSERT_TRUE(attn.frozen());
-            gemm::set_mode(gemm::Mode::Off);
-            Tensor values = attn.forward(x, false);
-            gemm::set_mode(gemm::Mode::On);
-            const std::uint64_t before = gemm::call_count();
+            core::kernels::set_simd_level(level);
+            const std::uint64_t before = gemm_calls();
             Tensor packed = attn.forward(x, false);
-            EXPECT_GT(gemm::call_count(), before)
-                << "packed route did not engage (" << fmt.name << ")";
-            gemm::set_mode(gemm::Mode::Off); // restore the suite pin
-            EXPECT_EQ(tensor::max_abs_diff(values, packed), 0.0)
-                << fmt.name << " leg=" << leg;
+            if (simd) {
+                EXPECT_GT(gemm_calls(), before)
+                    << "packed route did not engage (" << fmt.name << ")";
+            }
+            EXPECT_EQ(tensor::max_abs_diff(fake, packed), 0.0)
+                << fmt.name << " level=" << static_cast<int>(level);
         }
-    });
+    }
+    core::kernels::set_force_scalar(true); // restore the suite pin
 }
 
 TEST(FrozenLstm, BitIdenticalEvalForward)
@@ -341,21 +355,19 @@ TEST(FrozenGuard, RefreezeAfterWeightUpdateResnapshots)
 
 TEST(FrozenModels, MlpBitIdenticalEval)
 {
-    for_each_dispatch([&](const char* leg) {
-        models::MlpClassifier mlp(19, {24, 16}, 4,
-                                  QuantSpec::forward_only(core::mx6()),
-                                  31);
-        stats::Rng rng(32);
-        Tensor x = Tensor::randn({5, 19}, rng);
-        Tensor fake = mlp.logits(x, false);
-        mlp.freeze();
-        ASSERT_TRUE(mlp.frozen());
-        Tensor frozen = mlp.logits(x, false);
-        EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0) << leg;
-        EXPECT_THROW(mlp.logits(x, true), ArgumentError);
-        mlp.unfreeze();
-        EXPECT_FALSE(mlp.frozen());
-    });
+    models::MlpClassifier mlp(19, {24, 16}, 4,
+                              QuantSpec::forward_only(core::mx6()),
+                              31);
+    stats::Rng rng(32);
+    Tensor x = Tensor::randn({5, 19}, rng);
+    Tensor fake = mlp.logits(x, false);
+    mlp.freeze();
+    ASSERT_TRUE(mlp.frozen());
+    Tensor frozen = mlp.logits(x, false);
+    EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
+    EXPECT_THROW(mlp.logits(x, true), ArgumentError);
+    mlp.unfreeze();
+    EXPECT_FALSE(mlp.frozen());
 }
 
 TEST(FrozenModels, MlpMixedPrecisionRecipeSurvivesFreeze)
@@ -374,49 +386,45 @@ TEST(FrozenModels, MlpMixedPrecisionRecipeSurvivesFreeze)
 
 TEST(FrozenModels, ResNetBitIdenticalEval)
 {
-    for_each_dispatch([&](const char* leg) {
-        models::ResNetMini net(8, 4, 3,
-                               QuantSpec::forward_only(core::mx6()), 35);
-        stats::Rng rng(36);
-        Tensor imgs = Tensor::randn({2, 1, 8, 8}, rng);
-        Tensor fake = net.logits(imgs, false);
-        net.freeze();
-        ASSERT_TRUE(net.frozen());
-        Tensor frozen = net.logits(imgs, false);
-        EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0) << leg;
-    });
+    models::ResNetMini net(8, 4, 3,
+                           QuantSpec::forward_only(core::mx6()), 35);
+    stats::Rng rng(36);
+    Tensor imgs = Tensor::randn({2, 1, 8, 8}, rng);
+    Tensor fake = net.logits(imgs, false);
+    net.freeze();
+    ASSERT_TRUE(net.frozen());
+    Tensor frozen = net.logits(imgs, false);
+    EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
 }
 
 TEST(FrozenModels, GptBitIdenticalEval)
 {
-    for_each_dispatch([&](const char* leg) {
-        models::TransformerConfig cfg;
-        cfg.vocab = 16;
-        cfg.d_model = 32;
-        cfg.heads = 2;
-        cfg.layers = 1;
-        cfg.seq_len = 8;
-        cfg.spec = QuantSpec::forward_only(core::mx9());
-        models::GptMini model(cfg);
-        data::SequenceBatch batch;
-        batch.n = 2;
-        batch.seq_len = cfg.seq_len;
-        stats::Rng rng(37);
-        for (int i = 0; i < batch.n * cfg.seq_len; ++i) {
-            batch.tokens.push_back(
-                static_cast<int>(rng.next_u64() % cfg.vocab));
-            batch.labels.push_back(
-                static_cast<int>(rng.next_u64() % cfg.vocab));
-        }
-        Tensor fake = model.logits(batch, false);
-        model.freeze();
-        ASSERT_TRUE(model.frozen());
-        Tensor frozen = model.logits(batch, false);
-        EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0) << leg;
-        EXPECT_EQ(model.eval_loss(batch), model.eval_loss(batch));
-        model.unfreeze();
-        model.train_loss(batch); // trainable again
-    });
+    models::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.d_model = 32;
+    cfg.heads = 2;
+    cfg.layers = 1;
+    cfg.seq_len = 8;
+    cfg.spec = QuantSpec::forward_only(core::mx9());
+    models::GptMini model(cfg);
+    data::SequenceBatch batch;
+    batch.n = 2;
+    batch.seq_len = cfg.seq_len;
+    stats::Rng rng(37);
+    for (int i = 0; i < batch.n * cfg.seq_len; ++i) {
+        batch.tokens.push_back(
+            static_cast<int>(rng.next_u64() % cfg.vocab));
+        batch.labels.push_back(
+            static_cast<int>(rng.next_u64() % cfg.vocab));
+    }
+    Tensor fake = model.logits(batch, false);
+    model.freeze();
+    ASSERT_TRUE(model.frozen());
+    Tensor frozen = model.logits(batch, false);
+    EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
+    EXPECT_EQ(model.eval_loss(batch), model.eval_loss(batch));
+    model.unfreeze();
+    model.train_loss(batch); // trainable again
 }
 
 TEST(FrozenModels, BertBitIdenticalEvalBothHeads)
@@ -524,14 +532,4 @@ TEST(FrozenTensor, CopiesAreSharedHandlesOntoOnePayload)
     // Fresh snapshots of the same weight do NOT share.
     FrozenTensor c = FrozenTensor::build(w, core::mx9());
     EXPECT_FALSE(c.shares_payload_with(a));
-
-    // drop_values() acts on the one shared snapshot: visible through
-    // every handle (documented: drop before serving starts).
-    if (a.gemm_operand().has_value()) {
-        b.drop_values();
-        EXPECT_EQ(a.values().numel(), 0);
-        EXPECT_EQ(b.values().numel(), 0);
-        // The packed artifact (and thus unpacked()) survives.
-        EXPECT_EQ(b.unpacked().numel(), w.numel());
-    }
 }

@@ -15,8 +15,9 @@
  *    FP32-accumulation tolerance, and QSNR vs the FP32 oracle clears
  *    the pinned per-format floor;
  *  - the frozen nn::Linear / nn::MultiHeadAttention serving path
- *    actually routes through mx_gemm and keeps working after the FP32
- *    grid tensor is dropped — no dequantized weight copy anywhere.
+ *    routes through mx_gemm whenever a SIMD gemm kernel is active or
+ *    the layer holds no FP32 grid, and a layer frozen with a SIMD
+ *    kernel active holds no dequantized weight copy at all.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +35,7 @@
 #include "nn/frozen.h"
 #include "nn/linear.h"
 #include "nn/quant.h"
+#include "obs/obs.h"
 #include "stats/rng.h"
 #include "tensor/tensor.h"
 
@@ -405,126 +407,139 @@ TEST(PackedGemm, DeterministicAcrossRepeatedCalls)
 
 namespace {
 
-/** Pin a routing mode for one test body, restoring Auto. */
-class ScopedMode
+/** Packed GEMMs executed so far (proves which route a forward took). */
+std::uint64_t
+gemm_calls()
 {
-  public:
-    explicit ScopedMode(gemm::Mode m) { gemm::set_mode(m); }
-    ~ScopedMode() { gemm::set_mode(gemm::Mode::Auto); }
-};
+    return obs::counter("gemm.calls").value();
+}
+
+/** Pin the widest SIMD level this host runs (the freeze leg on which a
+ *  pairable layer skips its grid); true when that level has a SIMD
+ *  gemm kernel. */
+bool
+pin_widest_simd()
+{
+    core::kernels::set_simd_level(core::kernels::SimdLevel::Avx512);
+    return gemm::packed_profitable();
+}
 
 } // namespace
 
-TEST(FrozenGemmRouting, AutoRoutesByProfitabilityAndNecessity)
+TEST(FrozenGemmRouting, PackedWhenSimdIsActiveOrTheGridIsAbsent)
 {
-    // Auto policy: packed exactly when the AVX2 gemm kernel is active
-    // (profitable) or the layer has no FP32 values left (required).
-    ScopedMode mode(gemm::Mode::Auto);
     stats::Rng rng(114);
     nn::Linear layer(32, 8, nn::QuantSpec::forward_only(core::mx9()),
                      rng);
     Tensor x = Tensor::randn({4, 32}, rng);
-    layer.freeze();
 
+    // Frozen on the scalar kernel, the layer keeps its grid and serves
+    // on it: there the values matmul beats the scalar packed kernel.
     core::kernels::set_force_scalar(true);
     EXPECT_FALSE(gemm::packed_profitable());
-    std::uint64_t before = gemm::call_count();
-    layer.forward(x, false);
-    EXPECT_EQ(gemm::call_count(), before)
-        << "Auto must serve on the values path when only the scalar "
-           "gemm kernel is available";
-    layer.drop_frozen_values();
-    before = gemm::call_count();
-    layer.forward(x, false);
-    EXPECT_GT(gemm::call_count(), before)
-        << "Auto must take the packed path once the values are gone";
-    core::kernels::set_force_scalar(false);
-
-    // With the pin released the dispatch re-resolves from the
-    // environment; when that lands on AVX2 the packed path engages on
-    // profitability alone (values are already gone here, so re-freeze
-    // to get the FP32 fallback back first).
     layer.freeze();
-    if (gemm::packed_profitable()) {
-        before = gemm::call_count();
+    EXPECT_GT(layer.frozen_weight().values().numel(), 0);
+    std::uint64_t before = gemm_calls();
+    layer.forward(x, false);
+    EXPECT_EQ(gemm_calls(), before)
+        << "the scalar kernel must serve on the grid";
+
+    if (pin_widest_simd()) {
+        // A SIMD kernel takes the packed path even with a grid present.
+        before = gemm_calls();
         layer.forward(x, false);
-        EXPECT_GT(gemm::call_count(), before);
+        EXPECT_GT(gemm_calls(), before);
+        // Re-frozen with it active, the layer holds no grid, so it
+        // stays packed when the scalar kernel comes back.
+        layer.freeze();
+        EXPECT_EQ(layer.frozen_weight().values().numel(), 0);
+        core::kernels::set_force_scalar(true);
+        before = gemm_calls();
+        layer.forward(x, false);
+        EXPECT_GT(gemm_calls(), before)
+            << "a layer without its grid must take the packed path";
     }
+    core::kernels::set_force_scalar(false);
 }
 
-TEST(FrozenGemmRouting, LinearTakesPackedPathAndSurvivesDropValues)
+TEST(FrozenGemmRouting, LinearWithoutTheGridServesPackedOnEveryKernel)
 {
-    ScopedMode mode(gemm::Mode::On);
-    for_each_dispatch([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            for (std::int64_t in : {32, 19}) {
-                stats::Rng rng(109);
-                nn::Linear layer(in, 8, nn::QuantSpec::forward_only(fmt),
-                                 rng);
-                Tensor x = Tensor::randn({4, in}, rng, 2.0f);
-                Tensor fake = layer.forward(x, false);
-                layer.freeze();
+    if (!pin_widest_simd()) {
+        core::kernels::set_force_scalar(false);
+        GTEST_SKIP() << "no SIMD gemm kernel: every freeze keeps the grid";
+    }
+    for (const auto& fmt : mx_formats()) {
+        for (std::int64_t in : {32, 19}) {
+            pin_widest_simd();
+            stats::Rng rng(109);
+            nn::Linear layer(in, 8, nn::QuantSpec::forward_only(fmt),
+                             rng);
+            Tensor x = Tensor::randn({4, in}, rng, 2.0f);
+            Tensor fake = layer.forward(x, false);
+            layer.freeze();
+            // The packed artifact is the only weight container.
+            EXPECT_EQ(layer.frozen_weight().values().numel(), 0);
 
-                const std::uint64_t before = gemm::call_count();
+            Tensor first;
+            for_each_dispatch([&](const char* leg) {
+                const std::uint64_t before = gemm_calls();
                 Tensor frozen = layer.forward(x, false);
-                EXPECT_GT(gemm::call_count(), before)
+                EXPECT_GT(gemm_calls(), before)
                     << "frozen forward did not route through mx_gemm ("
                     << fmt.name << " leg=" << leg << ")";
                 EXPECT_LE(tensor::max_abs_diff(fake, frozen),
                           1e-5 * std::max(max_abs(fake), 1e-20))
                     << fmt.name << " in=" << in << " leg=" << leg;
+                // Every kernel runs the same packed contract.
+                if (first.numel() == 0)
+                    first = frozen;
+                EXPECT_EQ(tensor::max_abs_diff(first, frozen), 0.0)
+                    << fmt.name << " in=" << in << " leg=" << leg;
+            });
 
-                // Drop the FP32 grid tensor: the packed artifact is now
-                // the only weight container, and serving still works,
-                // bit-identically to the pre-drop packed forward.
-                layer.drop_frozen_values();
-                EXPECT_EQ(layer.frozen_weight().values().numel(), 0);
-                ASSERT_TRUE(layer.frozen());
-                Tensor after = layer.forward(x, false);
-                EXPECT_EQ(tensor::max_abs_diff(frozen, after), 0.0);
-
-                // Disabling the packed path with no values left must
-                // fail loudly, not silently dequantize.
-                gemm::set_mode(gemm::Mode::Off);
-                EXPECT_THROW(layer.forward(x, false), ArgumentError);
-                gemm::set_mode(gemm::Mode::On);
-            }
+            // A spec that can no longer pair leaves the layer with no
+            // execution form: fail loudly, never dequantize silently.
+            layer.spec().forward = core::fp8_e4m3();
+            EXPECT_THROW(layer.forward(x, false), ArgumentError);
         }
-    });
+    }
 }
 
-TEST(FrozenGemmRouting, LegacyPathStillBitIdenticalWhenDisabled)
+TEST(FrozenGemmRouting, ScalarKernelServesTheGridBitIdentically)
 {
-    ScopedMode mode(gemm::Mode::Off);
+    core::kernels::set_force_scalar(true);
     for (const auto& fmt : mx_formats()) {
         stats::Rng rng(110);
         nn::Linear layer(48, 8, nn::QuantSpec::forward_only(fmt), rng);
         Tensor x = Tensor::randn({4, 48}, rng, 2.0f);
         Tensor fake = layer.forward(x, false);
         layer.freeze();
-        const std::uint64_t before = gemm::call_count();
+        const std::uint64_t before = gemm_calls();
         Tensor frozen = layer.forward(x, false);
-        EXPECT_EQ(gemm::call_count(), before) << "MX_GEMM=0 not honoured";
+        EXPECT_EQ(gemm_calls(), before) << "the values route was not taken";
         EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0) << fmt.name;
     }
+    core::kernels::set_force_scalar(false);
 }
 
 TEST(FrozenGemmRouting, AttentionProjectionsRideThePackedPath)
 {
-    ScopedMode mode(gemm::Mode::On);
+    if (!pin_widest_simd()) {
+        core::kernels::set_force_scalar(false);
+        GTEST_SKIP() << "no SIMD gemm kernel: every freeze keeps the grid";
+    }
+    stats::Rng rng(111);
+    nn::MultiHeadAttention attn(32, 2, 8, /*causal=*/true,
+                                nn::QuantSpec::forward_only(core::mx9()),
+                                rng);
+    Tensor x = Tensor::randn({2 * 8, 32}, rng);
+    Tensor fake = attn.forward(x, false);
+    attn.freeze();
     for_each_dispatch([&](const char* leg) {
-        stats::Rng rng(111);
-        nn::MultiHeadAttention attn(32, 2, 8, /*causal=*/true,
-                                    nn::QuantSpec::forward_only(
-                                        core::mx9()),
-                                    rng);
-        Tensor x = Tensor::randn({2 * 8, 32}, rng);
-        Tensor fake = attn.forward(x, false);
-        attn.freeze();
-        const std::uint64_t before = gemm::call_count();
+        const std::uint64_t before = gemm_calls();
         Tensor frozen = attn.forward(x, false);
         // All four projections (Q, K, V, O) run packed.
-        EXPECT_GE(gemm::call_count(), before + 4) << "leg=" << leg;
+        EXPECT_GE(gemm_calls(), before + 4) << "leg=" << leg;
         EXPECT_LE(tensor::max_abs_diff(fake, frozen),
                   1e-5 * std::max(max_abs(fake), 1e-20))
             << "leg=" << leg;
@@ -534,7 +549,7 @@ TEST(FrozenGemmRouting, AttentionProjectionsRideThePackedPath)
 TEST(FrozenGemmRouting, NonPackableFormatsFallBackToValues)
 {
     // FP8 weights have no pow2-block packed artifact: the frozen path
-    // must serve on the grid values, not through mx_gemm.
+    // must keep the grid and serve on it, not through mx_gemm.
     stats::Rng rng(112);
     nn::Linear layer(32, 8,
                      nn::QuantSpec::forward_only(core::fp8_e4m3()), rng);
@@ -542,29 +557,34 @@ TEST(FrozenGemmRouting, NonPackableFormatsFallBackToValues)
     Tensor fake = layer.forward(x, false);
     layer.freeze();
     EXPECT_FALSE(layer.frozen_weight().gemm_operand().has_value());
-    const std::uint64_t before = gemm::call_count();
+    EXPECT_GT(layer.frozen_weight().values().numel(), 0);
+    const std::uint64_t before = gemm_calls();
     Tensor frozen = layer.forward(x, false);
-    EXPECT_EQ(gemm::call_count(), before);
+    EXPECT_EQ(gemm_calls(), before);
     EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
-    EXPECT_THROW(layer.drop_frozen_values(), ArgumentError);
 }
 
-TEST(FrozenGemmRouting, DropValuesRejectedWhenActivationsCannotPair)
+TEST(FrozenGemmRouting, UnpairableActivationsKeepTheGrid)
 {
     // A weights-only quantization spec (FP32 activations over packed
     // MX9 weights) produces a gemm view, but the packed path can never
-    // engage without a pow2-block activation format — dropping the
-    // grid tensor would brick the layer, so it must be rejected.
+    // engage without a pow2-block activation format — so the grid is
+    // kept even with a SIMD kernel active, and the layer serves on it.
+    pin_widest_simd();
     stats::Rng rng(115);
     nn::QuantSpec spec;
     spec.weight_forward = core::mx9();
     nn::Linear layer(32, 8, spec, rng);
     Tensor x = Tensor::randn({4, 32}, rng);
+    Tensor fake = layer.forward(x, false);
     layer.freeze();
     ASSERT_TRUE(layer.frozen_weight().gemm_operand().has_value());
-    EXPECT_THROW(layer.drop_frozen_values(), ArgumentError);
-    // And the layer still serves on the values path afterwards.
-    layer.forward(x, false);
+    EXPECT_GT(layer.frozen_weight().values().numel(), 0);
+    const std::uint64_t before = gemm_calls();
+    Tensor frozen = layer.forward(x, false);
+    EXPECT_EQ(gemm_calls(), before);
+    EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0);
+    core::kernels::set_force_scalar(false);
 }
 
 // ---------------------------------------------------------------------------

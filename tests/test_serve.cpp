@@ -19,7 +19,6 @@
 
 #include "core/kernels/dispatch.h"
 #include "core/thread_pool.h"
-#include "gemm/packed_gemm.h"
 #include "models/mlp.h"
 #include "models/serve_adapters.h"
 #include "models/transformer.h"
@@ -569,15 +568,17 @@ argmax_row(const float* logits, int vocab)
 TEST(DecodeSession, PrefixReuseIsBitIdenticalAcrossLegsAndModes)
 {
     // The decode contract: a warm session (prefix reuse) produces the
-    // same bits as a cold full recompute, for every dispatch leg and
-    // every MX_GEMM routing mode — and the full-window cold path
-    // matches window_logits exactly.
-    const gemm::Mode ambient_mode = gemm::mode();
-    for (bool force_scalar : {false, true}) {
-        core::kernels::set_force_scalar(force_scalar);
-        for (gemm::Mode mode : {gemm::Mode::Off, gemm::Mode::On}) {
-            gemm::set_mode(mode);
+    // same bits as a cold full recompute, for every dispatch leg the
+    // model is frozen on and served on (frozen on SIMD, the
+    // projections hold no grid and run packed even on the scalar leg;
+    // frozen on scalar, they serve on the grid until a SIMD leg routes
+    // them packed) — and the full-window cold path matches
+    // window_logits exactly.
+    for (bool freeze_scalar : {false, true}) {
+        for (bool serve_scalar : {false, true}) {
+            core::kernels::set_force_scalar(freeze_scalar);
             models::GptMini model = make_decode_gpt();
+            core::kernels::set_force_scalar(serve_scalar);
             const auto& cfg = model.config();
 
             models::GptDecodeSession session;
@@ -588,8 +589,8 @@ TEST(DecodeSession, PrefixReuseIsBitIdenticalAcrossLegsAndModes)
                 ASSERT_EQ(warm.numel(), cold.numel());
                 for (std::int64_t j = 0; j < warm.numel(); ++j)
                     ASSERT_EQ(warm.data()[j], cold.data()[j])
-                        << "scalar=" << force_scalar << " mode="
-                        << static_cast<int>(mode) << " step "
+                        << "frozen scalar=" << freeze_scalar
+                        << " served scalar=" << serve_scalar << " step "
                         << ctx.size() << " logit " << j;
                 ctx.push_back(argmax_row(warm.data(), cfg.vocab));
             }
@@ -605,7 +606,6 @@ TEST(DecodeSession, PrefixReuseIsBitIdenticalAcrossLegsAndModes)
                     << "one-shot logit " << j;
         }
     }
-    gemm::set_mode(ambient_mode);
     core::kernels::set_force_scalar(false); // re-resolve (honours env)
 }
 
@@ -741,16 +741,15 @@ make_decode_gpt_fmt(const core::BdrFormat& fmt, std::int64_t seq_len,
 TEST(DecodeSession, NativeCachePinsEveryMxFormatAcrossLegsAndModes)
 {
     // The native MX K/V cache engages for every pow2-block format —
-    // not just MX9 — and in EVERY routing mode (storage is
-    // mode-independent; only execution routes).  Warm decode must
-    // equal cold recompute bit-for-bit throughout.
-    const gemm::Mode ambient_mode = gemm::mode();
+    // not just MX9 — on every leg the model is frozen and served on
+    // (storage does not depend on the leg; only execution routes).
+    // Warm decode must equal cold recompute bit-for-bit throughout.
     for (const auto& fmt : {core::mx9(), core::mx6(), core::mx4()}) {
-        for (bool force_scalar : {false, true}) {
-            core::kernels::set_force_scalar(force_scalar);
-            for (gemm::Mode mode : {gemm::Mode::Off, gemm::Mode::On}) {
-                gemm::set_mode(mode);
+        for (bool freeze_scalar : {false, true}) {
+            for (bool serve_scalar : {false, true}) {
+                core::kernels::set_force_scalar(freeze_scalar);
                 models::GptMini model = make_decode_gpt_fmt(fmt, 8, 1);
+                core::kernels::set_force_scalar(serve_scalar);
                 const auto& cfg = model.config();
                 models::GptDecodeSession session;
                 std::vector<int> ctx = {3, 1};
@@ -760,9 +759,10 @@ TEST(DecodeSession, NativeCachePinsEveryMxFormatAcrossLegsAndModes)
                     Tensor cold = model.decode_logits(ctx, nullptr);
                     for (std::int64_t j = 0; j < warm.numel(); ++j)
                         ASSERT_EQ(warm.data()[j], cold.data()[j])
-                            << fmt.name << " scalar=" << force_scalar
-                            << " mode=" << static_cast<int>(mode)
-                            << " step " << ctx.size() << " logit " << j;
+                            << fmt.name << " frozen scalar="
+                            << freeze_scalar << " served scalar="
+                            << serve_scalar << " step " << ctx.size()
+                            << " logit " << j;
                     ctx.push_back(argmax_row(warm.data(), cfg.vocab));
                 }
                 ASSERT_FALSE(session.layers.empty());
@@ -772,7 +772,6 @@ TEST(DecodeSession, NativeCachePinsEveryMxFormatAcrossLegsAndModes)
             }
         }
     }
-    gemm::set_mode(ambient_mode);
     core::kernels::set_force_scalar(false); // re-resolve (honours env)
 }
 
