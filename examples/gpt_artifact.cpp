@@ -145,18 +145,17 @@ run_serve(const std::string& path)
         [&models, &cfg](std::size_t r) -> serve::InferenceEngine::BatchFn {
             GptMini* m = &models[r % models.size()];
             // Sessionless decode rows: unpack each request's context
-            // and compute its next-token logits from scratch.
+            // and compute the batch's next-token logits from scratch
+            // in one fused step.
             return [m, &cfg](const Tensor& rows) {
-                Tensor out({rows.dim(0), cfg.vocab});
-                for (std::int64_t i = 0; i < rows.dim(0); ++i) {
-                    const std::vector<int> context =
-                        GptMini::unpack_decode_row(
-                            rows.data() + i * cfg.seq_len, cfg.seq_len);
-                    Tensor logits = m->decode_logits(context);
-                    std::copy(logits.data(), logits.data() + cfg.vocab,
-                              out.data() + i * cfg.vocab);
-                }
-                return out;
+                std::vector<std::vector<int>> contexts;
+                for (std::int64_t i = 0; i < rows.dim(0); ++i)
+                    contexts.push_back(GptMini::unpack_decode_row(
+                        rows.data() + i * cfg.seq_len, cfg.seq_len,
+                        cfg.vocab));
+                return m->decode_step(
+                    contexts, std::vector<GptDecodeSession*>(
+                                  contexts.size(), nullptr));
             };
         },
         cfg.seq_len, ecfg);

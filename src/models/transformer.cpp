@@ -1,7 +1,10 @@
 #include "models/transformer.h"
 
+#include <cmath>
+
 #include "artifact/writer.h"
 #include "core/check.h"
+#include "gemm/packed_gemm.h"
 
 namespace mx {
 namespace models {
@@ -87,15 +90,15 @@ TransformerBlock::prefix_reusable() const
 }
 
 Tensor
-TransformerBlock::forward_suffix(const Tensor& x_suffix,
-                                 nn::AttnPrefixCache& cache)
+TransformerBlock::decode_step(const Tensor& x,
+                              std::span<const nn::DecodeRows> streams)
 {
-    // Same op sequence as forward(x, false) restricted to the new
-    // positions: every non-attention op is position-wise, so
-    // restricting to a row subset cannot change any row's bits.
-    Tensor h = x_suffix;
-    Tensor a = attn_->forward_suffix(ln1_->forward(h, /*train=*/false),
-                                     cache);
+    // Same op sequence as forward(x, false) restricted to the streams'
+    // new positions: every non-attention op is position-wise, so
+    // stacking several streams' rows cannot change any row's bits.
+    Tensor h = x;
+    Tensor a = attn_->decode_step(ln1_->forward(h, /*train=*/false),
+                                  streams);
     tensor::axpy(h, 1.0f, a); // residual
 
     Tensor f = ff2_->forward(
@@ -419,12 +422,25 @@ GptMini::pack_decode_row(const std::vector<int>& tokens,
 }
 
 std::vector<int>
-GptMini::unpack_decode_row(const float* row, std::int64_t seq_len)
+GptMini::unpack_decode_row(const float* row, std::int64_t seq_len,
+                           std::int64_t vocab)
 {
     std::vector<int> tokens;
     tokens.reserve(static_cast<std::size_t>(seq_len));
-    for (std::int64_t i = 0; i < seq_len && row[i] >= 0.0f; ++i)
-        tokens.push_back(static_cast<int>(row[i]));
+    std::int64_t i = 0;
+    for (; i < seq_len && row[i] != -1.0f; ++i) {
+        const float v = row[i];
+        MX_CHECK_ARG(v >= 0.0f && v < static_cast<float>(vocab) &&
+                     v == std::floor(v),
+                     "GptMini: decode row position " << i << " holds " << v
+                         << ", not a token id in [0, " << vocab << ")");
+        tokens.push_back(static_cast<int>(v));
+    }
+    MX_CHECK_ARG(!tokens.empty(), "GptMini: decode row holds no tokens");
+    for (; i < seq_len; ++i)
+        MX_CHECK_ARG(row[i] == -1.0f,
+                     "GptMini: decode row position " << i << " holds "
+                         << row[i] << " after the -1 padding began");
     return tokens;
 }
 
@@ -441,76 +457,152 @@ Tensor
 GptMini::decode_logits(const std::vector<int>& tokens,
                        GptDecodeSession* session)
 {
+    return decode_step({tokens}, {session});
+}
+
+Tensor
+GptMini::decode_step(const std::vector<std::vector<int>>& contexts,
+                     const std::vector<GptDecodeSession*>& sessions)
+{
+    const std::size_t B = contexts.size();
     const std::int64_t T = cfg_.seq_len;
-    const std::int64_t n = static_cast<std::int64_t>(tokens.size());
-    MX_CHECK_ARG(n >= 1 && n <= T,
-                 "GptMini: decode context of " << n
-                     << " tokens does not fit a " << T
-                     << "-position window");
-
-    // Reusable prefix p: the longest shared token prefix with the
-    // session, capped so at least the newest token's row recomputes.
-    std::int64_t p = 0;
-    const bool reuse = session != nullptr && !blocks_.empty() &&
-                       blocks_.front()->prefix_reusable();
-    if (reuse && !session->layers.empty()) {
-        MX_CHECK_ARG(session->layers.size() == blocks_.size(),
-                     "GptMini: session was built for a "
-                         << session->layers.size()
-                         << "-layer model, this one has "
-                         << blocks_.size());
-        const std::int64_t cached = static_cast<std::int64_t>(
-            session->tokens.size());
-        while (p < std::min({cached, n - 1}) &&
-               session->tokens[static_cast<std::size_t>(p)] ==
-                   tokens[static_cast<std::size_t>(p)])
-            ++p;
-        // A diverged stream keeps its still-valid prefix: under
-        // causal-visibility quantization, K/V row j depends only on
-        // tokens [0, j], so rows [0, p) survive.  A native MX cache may
-        // retain fewer (it retreats to a V-slab boundary when the cut
-        // falls inside a committed block), so clamp p to what every
-        // layer actually kept.
-        for (nn::AttnPrefixCache& c : session->layers)
-            p = std::min(p, c.truncate(p));
+    const std::int64_t d = cfg_.d_model;
+    MX_CHECK_ARG(B >= 1 && sessions.size() == B,
+                 "GptMini: decode_step needs one session slot per "
+                 "context (" << B << " contexts, " << sessions.size()
+                             << " sessions)");
+    for (std::size_t i = 0; i < B; ++i) {
+        const std::int64_t n =
+            static_cast<std::int64_t>(contexts[i].size());
+        MX_CHECK_ARG(n >= 1 && n <= T,
+                     "GptMini: decode context of " << n
+                         << " tokens does not fit a " << T
+                         << "-position window");
+        for (int t : contexts[i])
+            MX_CHECK_ARG(t >= 0 && t < cfg_.vocab,
+                         "GptMini: token " << t << " outside the "
+                                           << cfg_.vocab << "-word vocab");
+        for (std::size_t j = 0; j < i; ++j)
+            MX_CHECK_ARG(sessions[i] == nullptr || sessions[i] != sessions[j],
+                         "GptMini: one session passed for contexts "
+                             << j << " and " << i);
     }
-    if (session != nullptr && session->layers.empty())
-        session->layers.resize(blocks_.size());
 
-    // Scratch caches when prefix reuse is off: same code path with
-    // p = 0 and nothing kept — the bit-identical fallback (each
-    // position is a pure function of its visible tokens, so computing
-    // the stream from scratch reproduces the incremental bits).
-    std::vector<nn::AttnPrefixCache> scratch;
-    std::vector<nn::AttnPrefixCache>* caches =
-        reuse ? &session->layers : &scratch;
-    if (!reuse)
-        scratch.resize(blocks_.size());
+    // Prefix reuse and stream fusion both need activation quantization
+    // that treats rows independently.
+    const bool rows_independent =
+        !blocks_.empty() && blocks_.front()->prefix_reusable();
 
-    // Block-0 input rows [p, n): token embedding + position embedding
-    // of the newly appended positions only.
-    std::vector<int> suffix_tokens(tokens.begin() + p, tokens.end());
-    std::vector<int> suffix_pos(static_cast<std::size_t>(n - p));
-    for (std::int64_t i = p; i < n; ++i)
-        suffix_pos[static_cast<std::size_t>(i - p)] = static_cast<int>(i);
-    Tensor h = tok_emb_->forward(suffix_tokens, /*train=*/false);
-    Tensor pe = pos_emb_->forward(suffix_pos, /*train=*/false);
-    tensor::axpy(h, 1.0f, pe);
+    // Per stream: the reusable prefix p (the longest shared token
+    // prefix with the session, capped so at least the newest token's
+    // row recomputes) and the layer caches the step advances.
+    std::vector<std::int64_t> prefix(B, 0);
+    std::vector<std::vector<nn::AttnPrefixCache>> scratch(B);
+    std::vector<std::vector<nn::AttnPrefixCache>*> caches(B);
+    for (std::size_t i = 0; i < B; ++i) {
+        GptDecodeSession* session = rows_independent ? sessions[i] : nullptr;
+        if (session == nullptr) {
+            // Scratch caches: same code path with p = 0 and nothing
+            // kept — the bit-identical fallback (each position is a
+            // pure function of its visible tokens, so computing the
+            // stream from scratch reproduces the incremental bits).
+            scratch[i].resize(blocks_.size());
+            caches[i] = &scratch[i];
+            continue;
+        }
+        const std::vector<int>& tokens = contexts[i];
+        const std::int64_t n = static_cast<std::int64_t>(tokens.size());
+        if (session->layers.empty()) {
+            session->layers.resize(blocks_.size());
+        } else {
+            MX_CHECK_ARG(session->layers.size() == blocks_.size(),
+                         "GptMini: session was built for a "
+                             << session->layers.size()
+                             << "-layer model, this one has "
+                             << blocks_.size());
+            const std::int64_t cached =
+                static_cast<std::int64_t>(session->tokens.size());
+            std::int64_t p = 0;
+            while (p < std::min(cached, n - 1) &&
+                   session->tokens[static_cast<std::size_t>(p)] ==
+                       tokens[static_cast<std::size_t>(p)])
+                ++p;
+            // A diverged stream keeps its still-valid prefix: under
+            // causal-visibility quantization, K/V row j depends only on
+            // tokens [0, j], so rows [0, p) survive.  A native MX cache
+            // may retain fewer (it retreats to a V-slab boundary when
+            // the cut falls inside a committed block), so clamp p to
+            // what every layer actually kept.
+            for (nn::AttnPrefixCache& c : session->layers)
+                p = std::min(p, c.truncate(p));
+            prefix[i] = p;
+        }
+        caches[i] = &session->layers;
+    }
 
-    for (std::size_t l = 0; l < blocks_.size(); ++l)
-        h = blocks_[l]->forward_suffix(h, (*caches)[l]);
+    Tensor out({static_cast<std::int64_t>(B),
+                static_cast<std::int64_t>(cfg_.vocab)});
+    std::vector<int> ids, positions;
+    std::vector<nn::DecodeRows> rows;
+    for (std::size_t g0 = 0; g0 < B;) {
+        // Fuse consecutive streams while their new rows fit one A tile.
+        std::size_t g1 = g0 + 1;
+        std::int64_t total =
+            static_cast<std::int64_t>(contexts[g0].size()) - prefix[g0];
+        while (rows_independent && g1 < B) {
+            const std::int64_t s =
+                static_cast<std::int64_t>(contexts[g1].size()) - prefix[g1];
+            if (total + s > static_cast<std::int64_t>(gemm::kTileRowsA))
+                break;
+            total += s;
+            ++g1;
+        }
 
-    if (reuse)
-        session->tokens = tokens;
+        // Block-0 input rows: token + position embeddings of every
+        // stream's newly appended positions, stacked in stream order.
+        ids.clear();
+        positions.clear();
+        rows.clear();
+        for (std::size_t i = g0; i < g1; ++i) {
+            const std::int64_t n =
+                static_cast<std::int64_t>(contexts[i].size());
+            rows.push_back({nullptr, static_cast<std::int64_t>(ids.size()),
+                            n - prefix[i]});
+            for (std::int64_t t = prefix[i]; t < n; ++t) {
+                ids.push_back(contexts[i][static_cast<std::size_t>(t)]);
+                positions.push_back(static_cast<int>(t));
+            }
+        }
+        Tensor h = tok_emb_->forward(ids, /*train=*/false);
+        tensor::axpy(h, 1.0f, pos_emb_->forward(positions, /*train=*/false));
+        for (std::size_t l = 0; l < blocks_.size(); ++l) {
+            for (std::size_t i = g0; i < g1; ++i)
+                rows[i - g0].cache = &(*caches[i])[l];
+            h = blocks_[l]->decode_step(h, rows);
+        }
 
-    // Only position n-1 (local row n-1-p) feeds the next-token
-    // decision; final LN and the LM head are row-wise, so projecting
-    // the kept row alone is bit-identical to projecting all T.
-    Tensor last({1, static_cast<std::int64_t>(cfg_.d_model)});
-    std::copy(h.data() + (n - 1 - p) * cfg_.d_model,
-              h.data() + (n - p) * cfg_.d_model, last.data());
-    last = final_ln_->forward(last, /*train=*/false);
-    return lm_head_->forward(last, /*train=*/false); // [1, vocab]
+        // Only each stream's last position feeds its next-token
+        // decision; final LN and the LM head are row-wise, so
+        // projecting the kept rows alone is bit-identical to
+        // projecting every position.
+        Tensor last({static_cast<std::int64_t>(g1 - g0), d});
+        for (std::size_t i = g0; i < g1; ++i) {
+            const nn::DecodeRows& r = rows[i - g0];
+            std::copy(h.data() + (r.row0 + r.rows - 1) * d,
+                      h.data() + (r.row0 + r.rows) * d,
+                      last.data() + static_cast<std::int64_t>(i - g0) * d);
+        }
+        const Tensor logits = lm_head_->forward(
+            final_ln_->forward(last, /*train=*/false), /*train=*/false);
+        std::copy(logits.data(), logits.data() + logits.numel(),
+                  out.data() + static_cast<std::int64_t>(g0) * cfg_.vocab);
+        g0 = g1;
+    }
+
+    for (std::size_t i = 0; i < B; ++i)
+        if (rows_independent && sessions[i] != nullptr)
+            sessions[i]->tokens = contexts[i];
+    return out;
 }
 
 void

@@ -8,6 +8,7 @@
  */
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,20 +56,21 @@ class TransformerBlock : public nn::Layer
     void set_spec(const nn::QuantSpec& spec);
 
     /**
-     * Eval-only incremental decode forward (batch 1): @p x_suffix
-     * holds the block input rows for a stream's newly appended
-     * positions; returns the same positions' block outputs and
-     * advances @p cache past them.  LayerNorm, FFN, activation and
-     * residual are all position-wise; attention reuses the cached K/V
-     * prefix under causal-visibility quantization (see
-     * nn::MultiHeadAttention::forward_suffix for the numerics
-     * contract).
+     * Eval-only fused decode step over several streams: @p x stacks
+     * the block input rows of every stream's newly appended positions
+     * (stream i owns rows [row0, row0 + rows) and its layer cache);
+     * returns the same rows' block outputs and advances every cache
+     * past them.  LayerNorm, the FFN, the activation and the residuals
+     * are all position-wise and run once over the stacked rows; only
+     * attention works per (stream, head) — see
+     * nn::MultiHeadAttention::decode_step for the phases and the
+     * numerics contract.
      */
-    tensor::Tensor forward_suffix(const tensor::Tensor& x_suffix,
-                                  nn::AttnPrefixCache& cache);
+    tensor::Tensor decode_step(const tensor::Tensor& x,
+                               std::span<const nn::DecodeRows> streams);
 
-    /** True when forward_suffix may reuse a prefix (causal attention +
-     *  row-independent activation format). */
+    /** True when decode_step may reuse a prefix or fuse streams
+     *  (causal attention + row-independent activation format). */
     bool prefix_reusable() const;
 
   private:
@@ -160,7 +162,7 @@ class BertMini
 /**
  * One decode stream's prefix-reuse state: the token prefix whose
  * per-layer K/V projections are cached (serve/session_cache.h owns the
- * per-stream LRU lifecycle; GptMini::decode_logits consumes and
+ * per-stream LRU lifecycle; GptMini::decode_step consumes and
  * advances it).
  */
 struct GptDecodeSession
@@ -197,28 +199,49 @@ class GptMini
     tensor::Tensor window_logits(const tensor::Tensor& windows);
 
     /**
-     * Decode-serving adapter with prefix reuse: @p tokens is one
-     * stream's context (1..seq_len tokens); returns the [1, vocab]
-     * next-token logits at position tokens.size()-1.
+     * One fused decode step over a batch of streams: @p contexts[i] is
+     * stream i's context (1..seq_len tokens in [0, vocab)); returns
+     * the [B, vocab] next-token logits at each context's last
+     * position.
      *
-     * With @p session, the per-layer K/V rows of the longest shared
-     * token prefix are reused and only the newly appended positions
-     * recompute — the per-token decode win — and the session advances
-     * to cover @p tokens.  With session == nullptr (or an
-     * empty/diverged session, or a spec whose activations do not
+     * With a session (@p sessions[i] non-null) the per-layer K/V rows
+     * of the longest shared token prefix are reused and only the newly
+     * appended positions recompute — the per-token decode win — and
+     * the session advances to cover the context.  With a null session
+     * (or an empty/diverged one, or a spec whose activations do not
      * quantize rows independently) every position recomputes.  Both
      * paths are bit-identical: attention runs under causal-visibility
      * quantization (each position's P V contraction spans exactly its
-     * visible keys — nn::MultiHeadAttention::forward_suffix), which
-     * makes position j's output a pure function of tokens [0, j].
+     * visible keys — nn::MultiHeadAttention::decode_step), which makes
+     * position j's output a pure function of tokens [0, j].
+     *
+     * Fusion: consecutive streams share one pass while their summed
+     * new rows fit one packed-GEMM A tile (gemm::kTileRowsA), so every
+     * weight GEMM — QKV, wo, the FFN, then the LM head on the streams'
+     * last rows — runs once per group at M = the group's rows and
+     * reuses each decoded weight panel across them; past one tile no
+     * panel is shared and only the temporaries would grow.  Attention
+     * fans out over the group's (stream, head) pairs on the shared
+     * pool.  Fusion cannot change a bit: every op outside attention is
+     * row-wise, and each GEMM output element is computed wholly inside
+     * one tile.  Specs whose activations couple rows (per-tensor
+     * scales) run every stream alone.
+     *
+     * Sessions must be distinct.  If the step throws, the sessions
+     * passed in may be partially advanced: drop them.
      *
      * Note this deliberately differs from window_logits' numerics:
      * the fixed-window forward lets all seq_len keys share V
      * quantization blocks, coupling each position's output to keys it
      * cannot attend — which is also why no cache could ever be exact
-     * there.  decode_logits is the serving path whose numerics an MX
-     * KV cache reproduces natively.
+     * there.  decode_step is the serving path whose numerics an MX KV
+     * cache reproduces natively.
      */
+    tensor::Tensor decode_step(const std::vector<std::vector<int>>& contexts,
+                               const std::vector<GptDecodeSession*>& sessions);
+
+    /** One stream's decode_step: the [1, vocab] next-token logits of
+     *  @p tokens, reusing and advancing @p session when given. */
     tensor::Tensor decode_logits(const std::vector<int>& tokens,
                                  GptDecodeSession* session = nullptr);
 
@@ -227,9 +250,16 @@ class GptMini
     static std::vector<float>
     pack_decode_row(const std::vector<int>& tokens, std::int64_t seq_len);
 
-    /** Inverse of pack_decode_row (stops at the first -1). */
+    /**
+     * Inverse of pack_decode_row, validating: throws ArgumentError
+     * unless the row is 1..seq_len integer tokens in [0, @p vocab)
+     * followed only by -1 padding (a fractional value, an id out of
+     * range, or a token after the first -1 is a malformed request, not
+     * something to round or truncate).
+     */
     static std::vector<int> unpack_decode_row(const float* row,
-                                              std::int64_t seq_len);
+                                              std::int64_t seq_len,
+                                              std::int64_t vocab);
 
     /** Mean LM loss (natural log) of a batch, no caching. */
     double eval_loss(const data::SequenceBatch& batch);

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/check.h"
+#include "core/thread_pool.h"
 #include "gemm/packed_gemm.h"
 #include "obs/obs.h"
 
@@ -310,22 +311,147 @@ MultiHeadAttention::prefix_reusable() const
            spec_.forward->elem == core::ElementKind::SignMagnitude;
 }
 
-Tensor
-MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
-                                   AttnPrefixCache& cache)
+namespace {
+
+/** Scale a stream's [s, n] Q K^T scores and mask every key past each
+ *  query's own position (query i of a stream whose cached prefix is p
+ *  sees keys [0, p + i]). */
+void
+scale_and_mask(Tensor& scores, std::int64_t s, std::int64_t n,
+               std::int64_t p, float scale)
 {
-    const std::int64_t p = cache.prefix;
-    const std::int64_t s = x_suffix.ndim() == 2 ? x_suffix.dim(0) : 0;
-    const std::int64_t n = p + s; // visible positions after this call
-    obs::Span span("attn.forward_suffix");
-    span.arg("prefix", static_cast<double>(p));
-    span.arg("suffix", static_cast<double>(s));
+    for (std::int64_t i = 0; i < s; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float& sc = scores.data()[i * n + j];
+            sc *= scale;
+            if (j > p + i)
+                sc = -std::numeric_limits<float>::infinity();
+        }
+    }
+}
+
+/** Rows [row0, row0 + rows) of one head's columns of a [*, ld] matrix,
+ *  as a dense [rows, head_dim] block: a pointer into @p m itself when
+ *  the block is already dense (one row), else a copy in @p buf. */
+const float*
+head_block(const Tensor& m, std::int64_t ld, std::int64_t row0,
+           std::int64_t rows, std::int64_t h, std::int64_t head_dim,
+           std::vector<float>& buf)
+{
+    const float* first = m.data() + row0 * ld + h * head_dim;
+    if (rows == 1)
+        return first;
+    buf.resize(static_cast<std::size_t>(rows * head_dim));
+    for (std::int64_t t = 0; t < rows; ++t)
+        std::copy(first + t * ld, first + t * ld + head_dim,
+                  buf.data() + t * head_dim);
+    return buf.data();
+}
+
+/** Transpose @p count rows (stride @p ld) of one head's @p head_dim
+ *  columns, starting at @p first, into a dense [head_dim, count] block
+ *  in @p out. */
+void
+transpose_head(const float* first, std::int64_t count, std::int64_t ld,
+               std::int64_t head_dim, std::vector<float>& out)
+{
+    out.resize(static_cast<std::size_t>(head_dim * count));
+    for (std::int64_t d = 0; d < head_dim; ++d)
+        for (std::int64_t t = 0; t < count; ++t)
+            out[static_cast<std::size_t>(d * count + t)] =
+                first[t * ld + d];
+}
+
+} // namespace
+
+Tensor
+MultiHeadAttention::decode_step(const Tensor& x,
+                                std::span<const DecodeRows> streams)
+{
+    MX_CHECK_ARG(causal_, "MultiHeadAttention: decode_step is a causal "
+                          "decode path");
+    MX_CHECK_ARG(x.ndim() == 2 && x.dim(0) >= 1 && x.dim(1) == d_model_,
+                 "MultiHeadAttention: decode rows " << x.shape_string()
+                     << " expect [*, " << d_model_ << "]");
+    // Fused streams share every projection's activation matrix, so
+    // their rows must quantize independently.
+    MX_CHECK_ARG(streams.size() == 1 || prefix_reusable(),
+                 "MultiHeadAttention: fusing decode streams needs a "
+                 "row-independent activation format");
+    std::int64_t total = 0;
+    for (const DecodeRows& r : streams) {
+        MX_CHECK_ARG(r.cache != nullptr && r.row0 == total && r.rows >= 1,
+                     "MultiHeadAttention: decode streams must tile the "
+                     "step's rows in order");
+        total += r.rows;
+    }
+    MX_CHECK_ARG(total == x.dim(0),
+                 "MultiHeadAttention: decode streams cover "
+                     << total << " of " << x.dim(0) << " rows");
+    obs::Span span("attn.decode_step");
+    span.arg("streams", static_cast<double>(streams.size()));
+    span.arg("rows", static_cast<double>(total));
     static obs::Counter& appended = obs::counter("attn.append.tokens");
-    if (s > 0)
-        appended.add(static_cast<std::uint64_t>(s));
-    MX_CHECK_ARG(causal_, "MultiHeadAttention: forward_suffix is a "
-                          "causal decode path");
-    // From-scratch calls (p == 0) are legal under any format — they
+    appended.add(static_cast<std::uint64_t>(total));
+
+    // Phase 1: the three projections, once over every stream's rows.
+    Tensor q, k, v;
+    project_qkv(x, q, k, v);
+
+    // Phase 2: per-stream cache bookkeeping on the caller, then one
+    // pool fan-out over the step's (stream, head) pairs.  Each task
+    // writes only its stream's cache state for its head and its own
+    // slots of concat, so lane count and order cannot change a bit.
+    std::vector<StepStream> steps;
+    steps.reserve(streams.size());
+    for (const DecodeRows& r : streams)
+        steps.push_back(begin_step(r, k, v));
+    const bool packed_exec = packed_act_act();
+    Tensor concat = Tensor::zeros({total, d_model_});
+    const std::size_t heads = static_cast<std::size_t>(heads_);
+    core::ThreadPool::shared().parallel_for(
+        steps.size() * heads, [&](std::size_t t) {
+            obs::Span head_span("attn.head");
+            const StepStream& st = steps[t / heads];
+            const std::int64_t h = static_cast<std::int64_t>(t % heads);
+            if (st.cache->native)
+                attend_native(st, h, q, k, packed_exec, concat);
+            else
+                attend_fp32(st, h, q, concat);
+        });
+    for (const StepStream& st : steps) {
+        AttnPrefixCache& cache = *st.cache;
+        // Keys past the last committed slab stay raw until their block
+        // completes; the step's new slabs drop their raw rows.
+        const std::int64_t committed =
+            static_cast<std::int64_t>(cache.v_slabs.size()) - st.slabs_old;
+        if (cache.native && committed > 0) {
+            cache.v_tail.erase(cache.v_tail.begin(),
+                               cache.v_tail.begin() +
+                                   committed * cache.plan.k1 * d_model_);
+            cache.v_tail.shrink_to_fit();
+        }
+        cache.prefix = st.p + st.s;
+    }
+
+    // Phase 3: the output projection, once over every stream's rows.
+    return wo_->forward(concat, /*train=*/false);
+}
+
+MultiHeadAttention::StepStream
+MultiHeadAttention::begin_step(const DecodeRows& rows, const Tensor& k,
+                               const Tensor& v)
+{
+    AttnPrefixCache& cache = *rows.cache;
+    StepStream st;
+    st.cache = rows.cache;
+    st.row0 = rows.row0;
+    st.p = cache.prefix;
+    st.s = rows.rows;
+    const std::int64_t p = st.p;
+    const std::int64_t s = st.s;
+    const std::int64_t n = p + s; // visible positions after the step
+    // From-scratch streams (p == 0) are legal under any format — they
     // quantize the same tensors every time, so the result is a pure
     // function of the inputs.  Actually *reusing* cached rows needs
     // row-independent quantization; callers gate caching on
@@ -333,10 +459,6 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
     MX_CHECK_ARG(p == 0 || prefix_reusable(),
                  "MultiHeadAttention: a cached prefix needs a "
                  "row-independent activation format");
-    MX_CHECK_ARG(x_suffix.ndim() == 2 && s >= 1 &&
-                 x_suffix.dim(1) == d_model_,
-                 "MultiHeadAttention: suffix " << x_suffix.shape_string()
-                     << " expects [*, " << d_model_ << "]");
     MX_CHECK_ARG(p >= 0 && n <= seq_len_,
                  "MultiHeadAttention: prefix " << p << " + suffix " << s
                      << " overflows a " << seq_len_
@@ -377,31 +499,12 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
                      "MultiHeadAttention: prefix cache shape drifted");
     }
 
-    // Project only the suffix rows; Linear eval forwards are row-wise,
-    // so these rows never depend on which rows ride along.  The three
-    // projections share one quantized view of x_suffix when the packed
-    // path serves them (quantize-once handoff).
-    Tensor q_suf, k_suf, v_suf;
-    project_qkv(x_suffix, q_suf, k_suf, v_suf);
-
-    // [rows, d_model] -> one head's [rows, head_dim] slice.
-    auto take_head = [this](const Tensor& packed, std::int64_t rows,
-                            std::int64_t h) {
-        Tensor out({rows, head_dim_});
-        for (std::int64_t t = 0; t < rows; ++t)
-            std::copy(packed.data() + t * d_model_ + h * head_dim_,
-                      packed.data() + t * d_model_ + (h + 1) * head_dim_,
-                      out.data() + t * head_dim_);
-        return out;
-    };
-
-    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-    Tensor concat = Tensor::zeros({s, d_model_});
-
+    const float* k_new = k.data() + st.row0 * d_model_;
+    const float* v_new = v.data() + st.row0 * d_model_;
     if (!cache.native) {
-        // Legacy FP32 storage: append raw post-projection rows and
-        // re-quantize on use — the path formats outside the packed
-        // family (and FP32 specs) serve on.
+        // Legacy FP32 storage: append the raw post-projection rows;
+        // the tasks re-quantize on use — the path formats outside the
+        // packed family (and FP32 specs) serve on.
         Tensor k_all({n, d_model_});
         Tensor v_all({n, d_model_});
         if (p > 0) {
@@ -410,268 +513,274 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
             std::copy(cache.v.data(), cache.v.data() + p * d_model_,
                       v_all.data());
         }
-        std::copy(k_suf.data(), k_suf.data() + s * d_model_,
-                  k_all.data() + p * d_model_);
-        std::copy(v_suf.data(), v_suf.data() + s * d_model_,
-                  v_all.data() + p * d_model_);
-
-        for (std::int64_t h = 0; h < heads_; ++h) {
-            Tensor qh = take_head(q_suf, s, h);
-            Tensor kh = take_head(k_all, n, h);
-            Tensor vh = take_head(v_all, n, h);
-
-            // Suffix query rows against every visible key.  Q K^T
-            // quantizes per row (queries along head_dim, keys along
-            // head_dim), so key row t's quantization is independent of
-            // how many keys exist — scores for masked keys are computed
-            // and discarded, never leaked.
-            Tensor scores =
-                qmatmul_nt(qh, kh, spec_.forward, spec_.rounding);
-            for (std::int64_t i = 0; i < s; ++i) {
-                for (std::int64_t j = 0; j < n; ++j) {
-                    float& sc = scores.data()[i * n + j];
-                    sc *= scale;
-                    if (j > p + i)
-                        sc = -std::numeric_limits<float>::infinity();
-                }
-            }
-            Tensor probs = tensor::softmax_rows(scores);
-
-            // ctx row i = P V over EXACTLY the row's visible keys
-            // [0, p+i]: the reduction runs along keys, so the
-            // transposed-V quantization blocks must span only keys the
-            // position may see.  This is the causal-visibility
-            // discipline a native MX KV cache implements for free (key
-            // blocks are appended, never re-quantized when later tokens
-            // arrive) — and it is what makes position p+i's output a
-            // pure function of tokens [0, p+i], i.e. what makes prefix
-            // reuse exact.
-            for (std::int64_t i = 0; i < s; ++i) {
-                const std::int64_t vis = p + i + 1;
-                Tensor prow({1, vis});
-                std::copy(probs.data() + i * n,
-                          probs.data() + i * n + vis, prow.data());
-                Tensor vt({head_dim_, vis}); // V^T sliced to visible keys
-                for (std::int64_t d = 0; d < head_dim_; ++d)
-                    for (std::int64_t t = 0; t < vis; ++t)
-                        vt.data()[d * vis + t] =
-                            vh.data()[t * head_dim_ + d];
-                Tensor crow = qmatmul_nt(prow, vt, spec_.forward,
-                                         spec_.rounding); // [1, head_dim]
-                float* row = concat.data() + i * d_model_ + h * head_dim_;
-                for (std::int64_t j = 0; j < head_dim_; ++j)
-                    row[j] += crow.data()[j];
-            }
-        }
-
-        // The appended keys become the new prefix.
+        std::copy(k_new, k_new + s * d_model_, k_all.data() + p * d_model_);
+        std::copy(v_new, v_new + s * d_model_, v_all.data() + p * d_model_);
         cache.k = std::move(k_all);
         cache.v = std::move(v_all);
-        cache.prefix = n;
-        return wo_->forward(concat, /*train=*/false);
+        return st;
     }
 
     // ---- Native MX storage ----------------------------------------
     // The prefix lives as the quantization blocks themselves.  Each
-    // new token is quantized ONCE right here; every later step only
-    // moves bytes.  The causal-visibility discipline maps exactly onto
-    // this storage: K rows quantize along head_dim (per key, stable
-    // forever), and transposed-V blocks quantize along keys at k1
-    // boundaries — a completed [d_model, k1] slab is identical for
-    // every later position, so it is committed once; only the open
-    // tail block still depends on the position and stays raw.
+    // new token is quantized ONCE (by its head's task); every later
+    // step only moves bytes.  The causal-visibility discipline maps
+    // exactly onto this storage: K rows quantize along head_dim (per
+    // key, stable forever), and transposed-V blocks quantize along
+    // keys at k1 boundaries — a completed [d_model, k1] slab is
+    // identical for every later position, so it is committed once;
+    // only the open tail block still depends on the position and
+    // stays raw.
+    const std::int64_t k1 = cache.plan.k1;
+    st.slabs_old = static_cast<std::int64_t>(cache.v_slabs.size());
+
+    // Raw V rows for every key past the last committed slab: the old
+    // tail plus this step's keys, covering [k1 * slabs_old, n).
+    // Exact growth keeps the resident tail as small as the old one.
+    cache.v_tail.reserve(cache.v_tail.size() +
+                         static_cast<std::size_t>(s * d_model_));
+    cache.v_tail.insert(cache.v_tail.end(), v_new, v_new + s * d_model_);
+
+    const std::size_t kstride = gemm::row_stream_bytes(
+        cache.plan, static_cast<std::size_t>(head_dim_));
+    for (std::vector<std::uint8_t>& stream : cache.k_heads)
+        stream.resize(static_cast<std::size_t>(n) * kstride);
+
+    // Every k1-key block this step completes becomes a packed
+    // [d_model, k1] slab of transposed V; each head's task fills its
+    // own head_dim rows.
+    const std::int64_t slabs_new = n / k1;
+    if (slabs_new > st.slabs_old) {
+        static obs::Counter& commits = obs::counter("attn.slab_commits");
+        commits.add(static_cast<std::uint64_t>(slabs_new - st.slabs_old));
+        const std::size_t bytes =
+            static_cast<std::size_t>(d_model_) *
+            gemm::row_stream_bytes(cache.plan,
+                                   static_cast<std::size_t>(k1));
+        for (std::int64_t b = st.slabs_old; b < slabs_new; ++b)
+            cache.v_slabs.emplace_back(bytes);
+    }
+    return st;
+}
+
+void
+MultiHeadAttention::attend_native(const StepStream& st, std::int64_t h,
+                                  const Tensor& q, const Tensor& k,
+                                  bool packed_exec, Tensor& concat) const
+{
+    AttnPrefixCache& cache = *st.cache;
     const core::kernels::QuantPlan& aplan = cache.plan;
     const core::Rounder rounder(spec_.rounding);
     const std::int64_t k1 = aplan.k1;
-
-    // Append the new keys: one packed row per (head, key).
-    {
-        std::vector<float> head_rows(
-            static_cast<std::size_t>(s * head_dim_));
-        for (std::int64_t h = 0; h < heads_; ++h) {
-            for (std::int64_t t = 0; t < s; ++t)
-                std::copy(
-                    k_suf.data() + t * d_model_ + h * head_dim_,
-                    k_suf.data() + t * d_model_ + (h + 1) * head_dim_,
-                    head_rows.data() + t * head_dim_);
-            gemm::pack_rows_aligned(aplan, head_rows.data(),
-                                    static_cast<std::size_t>(s),
-                                    static_cast<std::size_t>(head_dim_),
-                                    rounder,
-                                    cache.k_heads[static_cast<
-                                        std::size_t>(h)]);
-        }
-    }
-
-    // Raw V rows for every key past the last committed slab: the old
-    // tail plus this call's suffix, covering keys [raw_base, n).
-    const std::int64_t slabs_old =
+    const std::int64_t p = st.p;
+    const std::int64_t s = st.s;
+    const std::int64_t n = p + s;
+    const std::size_t dh = static_cast<std::size_t>(head_dim_);
+    const std::size_t kstride = gemm::row_stream_bytes(aplan, dh);
+    const std::size_t vstride =
+        gemm::row_stream_bytes(aplan, static_cast<std::size_t>(k1));
+    // This head's rows of a [d_model, k1] slab: bytes [slab_off, +len).
+    const std::size_t slab_off = static_cast<std::size_t>(h) * dh * vstride;
+    const std::int64_t slabs =
         static_cast<std::int64_t>(cache.v_slabs.size());
-    const std::int64_t raw_base = k1 * slabs_old;
-    std::vector<float> raw_all = std::move(cache.v_tail);
-    raw_all.resize(static_cast<std::size_t>((n - raw_base) * d_model_));
-    std::copy(v_suf.data(), v_suf.data() + s * d_model_,
-              raw_all.data() + (p - raw_base) * d_model_);
+    // This head's columns of the raw V rows of keys [raw_base, n).
+    const std::int64_t raw_base = k1 * st.slabs_old;
+    const float* raw = cache.v_tail.data() + h * head_dim_;
+    std::vector<std::uint8_t> packed; // one pack_rows_aligned output
+    std::vector<float> buf;           // dense copies, reused
 
-    // Commit every k1-key block this call completes as a packed
-    // [d_model, k1] slab of transposed V, quantized along keys.
-    const std::int64_t slabs_new = n / k1;
-    if (slabs_new > slabs_old) {
-        static obs::Counter& commits = obs::counter("attn.slab_commits");
-        commits.add(static_cast<std::uint64_t>(slabs_new - slabs_old));
-        std::vector<float> vt_chunk(
-            static_cast<std::size_t>(d_model_ * k1));
-        for (std::int64_t b = slabs_old; b < slabs_new; ++b) {
-            for (std::int64_t d = 0; d < d_model_; ++d)
-                for (std::int64_t t = 0; t < k1; ++t)
-                    vt_chunk[static_cast<std::size_t>(d * k1 + t)] =
-                        raw_all[static_cast<std::size_t>(
-                            (k1 * b + t - raw_base) * d_model_ + d)];
-            std::vector<std::uint8_t> slab;
-            gemm::pack_rows_aligned(aplan, vt_chunk.data(),
-                                    static_cast<std::size_t>(d_model_),
-                                    static_cast<std::size_t>(k1),
-                                    rounder, slab);
-            cache.v_slabs.push_back(std::move(slab));
-        }
+    // Append the new keys: one byte-aligned packed row per key.
+    std::vector<std::uint8_t>& kstream =
+        cache.k_heads[static_cast<std::size_t>(h)];
+    for (std::int64_t t = 0; t < s; ++t) {
+        packed.clear();
+        gemm::pack_rows_aligned(
+            aplan, k.data() + (st.row0 + t) * d_model_ + h * head_dim_, 1,
+            dh, rounder, packed);
+        std::copy(packed.begin(), packed.end(),
+                  kstream.begin() + (p + t) * static_cast<std::ptrdiff_t>(
+                                                  kstride));
     }
 
-    // Execution views, decoded once per call straight from the byte
-    // streams — the integer domain; no dequantized prefix exists.
-    std::vector<gemm::PackedOperand> k_ops;
-    k_ops.reserve(static_cast<std::size_t>(heads_));
-    for (std::int64_t h = 0; h < heads_; ++h)
-        k_ops.push_back(gemm::PackedOperand::decode_rows(
-            aplan, cache.k_heads[static_cast<std::size_t>(h)],
-            static_cast<std::size_t>(n),
-            static_cast<std::size_t>(head_dim_)));
+    // This head's rows of every slab the step completes.  Rows quantize
+    // independently, so packing the head's [head_dim, k1] share of the
+    // transposed chunk yields exactly the bytes a whole-slab pack puts
+    // there.
+    for (std::int64_t b = st.slabs_old; b < slabs; ++b) {
+        transpose_head(raw + (b * k1 - raw_base) * d_model_, k1, d_model_,
+                       head_dim_, buf);
+        packed.clear();
+        gemm::pack_rows_aligned(aplan, buf.data(), dh,
+                                static_cast<std::size_t>(k1), rounder,
+                                packed);
+        std::copy(packed.begin(), packed.end(),
+                  cache.v_slabs[static_cast<std::size_t>(b)].begin() +
+                      static_cast<std::ptrdiff_t>(slab_off));
+    }
+
+    // Execution views of this head's keys and slab rows, decoded once
+    // per step straight from the byte streams — the integer domain; no
+    // dequantized prefix exists.
+    const gemm::PackedOperand k_op = gemm::PackedOperand::decode_rows(
+        aplan, std::span<const std::uint8_t>(kstream),
+        static_cast<std::size_t>(n), dh);
     std::vector<gemm::PackedOperand> slab_ops;
     slab_ops.reserve(cache.v_slabs.size());
     for (const std::vector<std::uint8_t>& slab : cache.v_slabs)
         slab_ops.push_back(gemm::PackedOperand::decode_rows(
-            aplan, slab, static_cast<std::size_t>(d_model_),
-            static_cast<std::size_t>(k1)));
+            aplan,
+            std::span<const std::uint8_t>(slab).subspan(slab_off,
+                                                        dh * vstride),
+            dh, static_cast<std::size_t>(k1)));
 
-    const bool packed_exec = packed_act_act();
     const gemm::GemmPlan gp = gemm::make_gemm_plan(aplan, aplan);
     // Grid fallback (scalar gemm kernel): dequantize the SAME stored
     // encodings — never re-quantize — so it cannot drift from the
     // legacy fake-quant path even where re-quantization would not be
     // idempotent.
-    std::vector<Tensor> k_grids, slab_grids;
+    Tensor k_grid;
+    std::vector<Tensor> slab_grids;
     if (!packed_exec) {
-        for (const gemm::PackedOperand& op : k_ops)
-            k_grids.push_back(gemm::dequantize(op));
+        k_grid = gemm::dequantize(k_op);
         for (const gemm::PackedOperand& op : slab_ops)
             slab_grids.push_back(gemm::dequantize(op));
     }
 
-    for (std::int64_t h = 0; h < heads_; ++h) {
-        Tensor qh = take_head(q_suf, s, h);
-
-        // Q K^T straight off the packed key rows.
-        Tensor scores =
-            packed_exec
-                ? gemm::matmul_nt_packed(qh, aplan, k_ops[static_cast<
-                                             std::size_t>(h)],
-                                         spec_.rounding)
-                : tensor::matmul_nt(
-                      quantize_rows(qh, *spec_.forward, spec_.rounding),
-                      k_grids[static_cast<std::size_t>(h)]);
-        for (std::int64_t i = 0; i < s; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) {
-                float& sc = scores.data()[i * n + j];
-                sc *= scale;
-                if (j > p + i)
-                    sc = -std::numeric_limits<float>::infinity();
-            }
-        }
-        Tensor probs = tensor::softmax_rows(scores);
-
-        // P V per position: committed slabs feed the NN kernel leg as
-        // chunks (this head's rows via row_off); only the open tail
-        // block [nb * k1, vis) is quantized here, from raw floats —
-        // exactly the blocks the causal-visibility discipline defines.
-        for (std::int64_t i = 0; i < s; ++i) {
-            const std::int64_t vis = p + i + 1;
-            const std::int64_t nb = vis / k1;   // full slabs visible
-            const std::int64_t tlen = vis - nb * k1;
-            Tensor prow({1, vis});
-            std::copy(probs.data() + i * n, probs.data() + i * n + vis,
-                      prow.data());
-            // Transposed raw tail [head_dim, tlen] for this head.
-            Tensor vt_tail({head_dim_, std::max<std::int64_t>(tlen, 1)});
-            for (std::int64_t d = 0; d < head_dim_; ++d)
-                for (std::int64_t t = 0; t < tlen; ++t)
-                    vt_tail.data()[d * tlen + t] =
-                        raw_all[static_cast<std::size_t>(
-                            (nb * k1 + t - raw_base) * d_model_ +
-                            h * head_dim_ + d)];
-
-            Tensor crow; // [1, head_dim]
-            if (packed_exec) {
-                const gemm::PackedOperand prow_op =
-                    gemm::PackedOperand::quantize(
-                        aplan, prow.data(), 1,
-                        static_cast<std::size_t>(vis), rounder);
-                gemm::PackedOperand tail_op;
-                std::vector<gemm::NnBlockRef> refs;
-                refs.reserve(static_cast<std::size_t>(nb) + 1);
-                for (std::int64_t b = 0; b < nb; ++b)
-                    refs.push_back(
-                        {&slab_ops[static_cast<std::size_t>(b)],
-                         static_cast<std::size_t>(h * head_dim_)});
-                if (tlen > 0) {
-                    tail_op = gemm::PackedOperand::quantize(
-                        aplan, vt_tail.data(),
-                        static_cast<std::size_t>(head_dim_),
-                        static_cast<std::size_t>(tlen), rounder);
-                    refs.push_back({&tail_op, 0});
-                }
-                crow = gemm::matmul_nn_packed(
-                    gp, prow_op, refs,
-                    static_cast<std::size_t>(head_dim_));
-            } else {
-                // Assemble the visible V^T grid from slab grids plus
-                // the quantized tail, then contract in FP32.
-                Tensor vt_grid({head_dim_, vis});
-                for (std::int64_t b = 0; b < nb; ++b) {
-                    const Tensor& g =
-                        slab_grids[static_cast<std::size_t>(b)];
-                    for (std::int64_t d = 0; d < head_dim_; ++d)
-                        std::copy(
-                            g.data() + (h * head_dim_ + d) * k1,
-                            g.data() + (h * head_dim_ + d) * k1 + k1,
-                            vt_grid.data() + d * vis + b * k1);
-                }
-                if (tlen > 0) {
-                    Tensor tg = quantize_rows(vt_tail, *spec_.forward,
-                                              spec_.rounding);
-                    for (std::int64_t d = 0; d < head_dim_; ++d)
-                        std::copy(tg.data() + d * tlen,
-                                  tg.data() + d * tlen + tlen,
-                                  vt_grid.data() + d * vis + nb * k1);
-                }
-                crow = tensor::matmul_nt(
-                    quantize_rows(prow, *spec_.forward, spec_.rounding),
-                    vt_grid);
-            }
-            float* row = concat.data() + i * d_model_ + h * head_dim_;
-            for (std::int64_t j = 0; j < head_dim_; ++j)
-                row[j] += crow.data()[j];
-        }
+    // Q K^T straight off the packed key rows.
+    const float* qh =
+        head_block(q, d_model_, st.row0, s, h, head_dim_, buf);
+    Tensor scores;
+    if (packed_exec) {
+        const gemm::PackedOperand q_op = gemm::PackedOperand::quantize(
+            aplan, qh, static_cast<std::size_t>(s), dh, rounder);
+        scores = gemm::matmul_nt_prequant(gp, q_op, k_op);
+    } else {
+        const Tensor qt({s, head_dim_},
+                        std::vector<float>(qh, qh + s * head_dim_));
+        scores = tensor::matmul_nt(
+            quantize_rows(qt, *spec_.forward, spec_.rounding), k_grid);
     }
+    scale_and_mask(scores, s, n, p,
+                   1.0f / std::sqrt(static_cast<float>(head_dim_)));
+    const Tensor probs = tensor::softmax_rows(scores);
 
-    // Keys past the last committed slab stay raw until their block
-    // completes.
-    const std::int64_t tail_base = slabs_new * k1;
-    cache.v_tail.assign(
-        raw_all.begin() +
-            static_cast<std::ptrdiff_t>((tail_base - raw_base) *
-                                        d_model_),
-        raw_all.end());
-    cache.prefix = n;
-    return wo_->forward(concat, /*train=*/false);
+    // P V per position: committed slabs feed the NN kernel leg as
+    // chunks; only the open tail block [nb * k1, vis) is quantized
+    // here, from raw floats — exactly the blocks the causal-visibility
+    // discipline defines.
+    std::vector<gemm::NnBlockRef> refs;
+    for (std::int64_t i = 0; i < s; ++i) {
+        const std::int64_t vis = p + i + 1;
+        const std::int64_t nb = vis / k1; // full slabs visible
+        const std::int64_t tlen = vis - nb * k1;
+        const float* prow = probs.data() + i * n;
+        transpose_head(raw + (nb * k1 - raw_base) * d_model_, tlen,
+                       d_model_, head_dim_, buf);
+
+        Tensor crow; // [1, head_dim]
+        if (packed_exec) {
+            const gemm::PackedOperand prow_op =
+                gemm::PackedOperand::quantize(
+                    aplan, prow, 1, static_cast<std::size_t>(vis), rounder);
+            gemm::PackedOperand tail_op;
+            refs.clear();
+            for (std::int64_t b = 0; b < nb; ++b)
+                refs.push_back({&slab_ops[static_cast<std::size_t>(b)], 0});
+            if (tlen > 0) {
+                tail_op = gemm::PackedOperand::quantize(
+                    aplan, buf.data(), dh, static_cast<std::size_t>(tlen),
+                    rounder);
+                refs.push_back({&tail_op, 0});
+            }
+            crow = gemm::matmul_nn_packed(gp, prow_op, refs, dh);
+        } else {
+            // Assemble the visible V^T grid from slab grids plus the
+            // quantized tail, then contract in FP32.
+            Tensor vt_grid({head_dim_, vis});
+            for (std::int64_t b = 0; b < nb; ++b) {
+                const Tensor& g = slab_grids[static_cast<std::size_t>(b)];
+                for (std::int64_t d = 0; d < head_dim_; ++d)
+                    std::copy(g.data() + d * k1, g.data() + (d + 1) * k1,
+                              vt_grid.data() + d * vis + b * k1);
+            }
+            if (tlen > 0) {
+                const Tensor tg = quantize_rows(
+                    Tensor({head_dim_, tlen},
+                           std::vector<float>(buf.begin(), buf.end())),
+                    *spec_.forward, spec_.rounding);
+                for (std::int64_t d = 0; d < head_dim_; ++d)
+                    std::copy(tg.data() + d * tlen,
+                              tg.data() + (d + 1) * tlen,
+                              vt_grid.data() + d * vis + nb * k1);
+            }
+            const Tensor pt({1, vis}, std::vector<float>(prow, prow + vis));
+            crow = tensor::matmul_nt(
+                quantize_rows(pt, *spec_.forward, spec_.rounding), vt_grid);
+        }
+        float* row =
+            concat.data() + (st.row0 + i) * d_model_ + h * head_dim_;
+        for (std::int64_t j = 0; j < head_dim_; ++j)
+            row[j] += crow.data()[j];
+    }
+}
+
+void
+MultiHeadAttention::attend_fp32(const StepStream& st, std::int64_t h,
+                                const Tensor& q, Tensor& concat) const
+{
+    const AttnPrefixCache& cache = *st.cache;
+    const std::int64_t p = st.p;
+    const std::int64_t s = st.s;
+    const std::int64_t n = p + s;
+
+    // Rows [row0, row0 + rows) of a [*, d_model] matrix -> this
+    // head's [rows, head_dim] slice.
+    auto take_head = [this, h](const Tensor& m, std::int64_t row0,
+                               std::int64_t rows) {
+        Tensor out({rows, head_dim_});
+        for (std::int64_t t = 0; t < rows; ++t)
+            std::copy(m.data() + (row0 + t) * d_model_ + h * head_dim_,
+                      m.data() + (row0 + t) * d_model_ +
+                          (h + 1) * head_dim_,
+                      out.data() + t * head_dim_);
+        return out;
+    };
+    const Tensor qh = take_head(q, st.row0, s);
+    const Tensor kh = take_head(cache.k, 0, n);
+    const Tensor vh = take_head(cache.v, 0, n);
+
+    // Suffix query rows against every visible key.  Q K^T quantizes
+    // per row (queries along head_dim, keys along head_dim), so key row
+    // t's quantization is independent of how many keys exist — scores
+    // for masked keys are computed and discarded, never leaked.
+    Tensor scores = qmatmul_nt(qh, kh, spec_.forward, spec_.rounding);
+    scale_and_mask(scores, s, n, p,
+                   1.0f / std::sqrt(static_cast<float>(head_dim_)));
+    const Tensor probs = tensor::softmax_rows(scores);
+
+    // ctx row i = P V over EXACTLY the row's visible keys [0, p+i]: the
+    // reduction runs along keys, so the transposed-V quantization
+    // blocks must span only keys the position may see.  This is the
+    // causal-visibility discipline a native MX KV cache implements for
+    // free (key blocks are appended, never re-quantized when later
+    // tokens arrive) — and it is what makes position p+i's output a
+    // pure function of tokens [0, p+i], i.e. what makes prefix reuse
+    // exact.
+    for (std::int64_t i = 0; i < s; ++i) {
+        const std::int64_t vis = p + i + 1;
+        Tensor prow({1, vis});
+        std::copy(probs.data() + i * n, probs.data() + i * n + vis,
+                  prow.data());
+        Tensor vt({head_dim_, vis}); // V^T sliced to visible keys
+        for (std::int64_t d = 0; d < head_dim_; ++d)
+            for (std::int64_t t = 0; t < vis; ++t)
+                vt.data()[d * vis + t] = vh.data()[t * head_dim_ + d];
+        const Tensor crow = qmatmul_nt(prow, vt, spec_.forward,
+                                       spec_.rounding); // [1, head_dim]
+        float* row =
+            concat.data() + (st.row0 + i) * d_model_ + h * head_dim_;
+        for (std::int64_t j = 0; j < head_dim_; ++j)
+            row[j] += crow.data()[j];
+    }
 }
 
 Tensor

@@ -11,6 +11,7 @@
  */
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gemm/packed_operand.h"
@@ -21,7 +22,7 @@ namespace nn {
 
 /**
  * Cached K/V state for the visible prefix of one decode stream — the
- * state MultiHeadAttention::forward_suffix reuses instead of
+ * state MultiHeadAttention::decode_step reuses instead of
  * recomputing every position each step (serve/session_cache.h owns the
  * per-stream lifecycle).
  *
@@ -78,6 +79,17 @@ struct AttnPrefixCache
     std::size_t memory_bytes() const;
 };
 
+/** One stream's share of a fused decode step (see
+ *  MultiHeadAttention::decode_step): rows [row0, row0 + rows) of the
+ *  step's stacked matrices are the stream's newly appended positions,
+ *  and @p cache holds its visible prefix. */
+struct DecodeRows
+{
+    AttnPrefixCache* cache = nullptr;
+    std::int64_t row0 = 0;
+    std::int64_t rows = 0;
+};
+
 /**
  * Self-attention over fixed-length sequences.
  *
@@ -117,13 +129,26 @@ class MultiHeadAttention : public Layer
     }
 
     /**
-     * Eval-only incremental decode forward for one stream (batch 1) —
-     * the KV-cache compute discipline, carried into the quantized
-     * domain.  @p x_suffix holds the block input rows for the stream's
-     * newly appended positions [cache.prefix, n); the cached K/V rows
-     * stand in for positions [0, cache.prefix) and only the suffix is
-     * projected.  Returns the attention output rows [cache.prefix, n)
-     * and advances the cache to cover all n visible positions.
+     * Eval-only fused decode step — the KV-cache compute discipline,
+     * carried into the quantized domain and batched across streams.
+     * @p x stacks the block input rows (post-LN) of every stream's newly
+     * appended positions; @p streams says which rows are whose: stream
+     * i owns rows [row0, row0 + rows) and its cache stands in for the
+     * visible prefix [0, cache->prefix).  Returns the attention output
+     * rows (after wo) in the same order and advances every cache to
+     * cover its new positions.
+     *
+     * Three phases: the wq/wk/wv projections run once over all rows
+     * (one quantized view of @p x feeds all three); each (stream, head)
+     * pair then runs its attention — K append, V-slab commit, Q K^T,
+     * softmax, per-position P V — as one task of a single
+     * core::ThreadPool::shared() parallel_for (the tasks' own small
+     * GEMMs run inline on their lane: nested parallel_for calls do);
+     * wo runs once over all rows.  Rows never couple: every projection
+     * is row-wise under a row-independent activation format, and each
+     * task touches only its stream's cache and its own output slots,
+     * so the result is bit-identical to running the streams one at a
+     * time, on any lane count.
      *
      * Numerics: each position's P V contraction quantizes transposed V
      * over EXACTLY that position's visible keys (causal-visibility
@@ -137,16 +162,17 @@ class MultiHeadAttention : public Layer
      * from-scratch decode agree bit for bit — the property
      * tests/test_serve.cpp pins warm against cold.
      *
-     * Requires a causal mask and a spec whose forward format quantizes
-     * rows independently (pow2 block family or FP32 — see
-     * prefix_reusable()).
+     * Requires a causal mask and distinct caches.  Reusing a cached
+     * prefix, or fusing more than one stream, requires a spec whose
+     * forward format quantizes rows independently (pow2 block family
+     * or FP32 — see prefix_reusable()).
      */
-    tensor::Tensor forward_suffix(const tensor::Tensor& x_suffix,
-                                  AttnPrefixCache& cache);
+    tensor::Tensor decode_step(const tensor::Tensor& x,
+                               std::span<const DecodeRows> streams);
 
-    /** True when forward_suffix may reuse a prefix under the current
-     *  spec: causal, and the forward activation format (if any)
-     *  quantizes rows independently. */
+    /** True when decode_step may reuse a prefix (or fuse streams)
+     *  under the current spec: causal, and the forward activation
+     *  format (if any) quantizes rows independently. */
     bool prefix_reusable() const;
 
     /** Freeze all four projections; the activation-activation
@@ -189,6 +215,36 @@ class MultiHeadAttention : public Layer
      *  PackedOperand handoff when every projection can take it. */
     void project_qkv(const tensor::Tensor& x, tensor::Tensor& q,
                      tensor::Tensor& k, tensor::Tensor& v);
+
+    /** One stream's bookkeeping for a decode step, fixed on the caller
+     *  before the fan-out; the (stream, head) tasks only read it. */
+    struct StepStream
+    {
+        AttnPrefixCache* cache = nullptr;
+        std::int64_t row0 = 0;      ///< First row in the stacked matrices.
+        std::int64_t p = 0;         ///< Cached keys before the step.
+        std::int64_t s = 0;         ///< Keys the step appends.
+        std::int64_t slabs_old = 0; ///< Native: V slabs before the step.
+    };
+
+    /** Caller-side half of a stream's cache advance: pick or check the
+     *  storage mode, then append the new keys' V rows and size every
+     *  buffer the tasks write (K streams, new V slabs), so no task
+     *  grows a shared container. */
+    StepStream begin_step(const DecodeRows& rows, const tensor::Tensor& k,
+                          const tensor::Tensor& v);
+
+    /** One (stream, head) task over native packed storage: pack the
+     *  head's new K rows and its rows of every V slab the step
+     *  completes, then Q K^T, softmax and per-position P V into
+     *  @p concat's rows of this stream and columns of this head. */
+    void attend_native(const StepStream& st, std::int64_t h,
+                       const tensor::Tensor& q, const tensor::Tensor& k,
+                       bool packed_exec, tensor::Tensor& concat) const;
+
+    /** The same task over legacy FP32 rows (re-quantized on use). */
+    void attend_fp32(const StepStream& st, std::int64_t h,
+                     const tensor::Tensor& q, tensor::Tensor& concat) const;
 
     std::int64_t d_model_, heads_, head_dim_, seq_len_;
     bool causal_;

@@ -6,7 +6,7 @@
  *
  * The packed-domain analog of a KV cache's bookkeeping: greedy decode
  * resubmits nearly the same token window every step, so a
- * `GptMini::decode_logits`-style adapter can cache the per-layer
+ * `GptMini::decode_step`-style adapter can cache the per-layer
  * attention projections of the unchanged window prefix (the session
  * state) and recompute only the new token's column.  This class owns
  * the "per stream" part: a thread-safe map from the caller's session

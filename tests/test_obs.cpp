@@ -32,43 +32,80 @@ using namespace mx;
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}
 
 void*
-operator new(std::size_t size)
+counted_malloc(std::size_t size) noexcept
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1))
+    return std::malloc(size ? size : 1);
+}
+} // namespace
+
+// Every replaceable form a test can reach is replaced, the nothrow
+// ones included (std::stable_sort's temporary buffer comes from
+// nothrow new and returns through sized delete), so no allocation pairs
+// the library's allocator with this file's free.  The replacements stay
+// out of line: inlined into a caller, GCC pairs malloc-backed new with
+// free across the call and warns (-Wmismatched-new-delete).
+
+[[gnu::noinline]] void*
+operator new(std::size_t size)
+{
+    if (void* p = counted_malloc(size))
         return p;
     throw std::bad_alloc();
 }
 
-void*
+[[gnu::noinline]] void*
 operator new[](std::size_t size)
 {
     return ::operator new(size);
 }
 
-void
+[[gnu::noinline]] void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    return counted_malloc(size);
+}
+
+[[gnu::noinline]] void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return counted_malloc(size);
+}
+
+[[gnu::noinline]] void
 operator delete(void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void* p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }

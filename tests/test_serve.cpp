@@ -8,14 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <future>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
-
-#include <atomic>
-#include <memory>
 
 #include "core/kernels/dispatch.h"
 #include "core/thread_pool.h"
@@ -23,6 +25,7 @@
 #include "models/serve_adapters.h"
 #include "models/transformer.h"
 #include "nn/quant.h"
+#include "obs/obs.h"
 #include "serve/engine.h"
 #include "serve/session_cache.h"
 #include "stats/rng.h"
@@ -909,4 +912,414 @@ TEST(DecodeSession, EvictionAndReCheckoutStayBitIdentical)
     EXPECT_GT(st.evictions, 0u);
     EXPECT_GT(st.evicted_bytes, 0u);
     EXPECT_GT(st.resident_bytes, 0u);
+}
+
+namespace {
+
+/** Bitwise float comparison (tells -0.0 from +0.0, unlike ==). */
+bool
+same_bits(const float* a, const float* b, std::size_t n)
+{
+    return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/** Every byte of cached decode state two sessions hold must match. */
+void
+expect_same_session(const models::GptDecodeSession& got,
+                    const models::GptDecodeSession& want,
+                    const std::string& what)
+{
+    EXPECT_EQ(got.tokens, want.tokens) << what;
+    EXPECT_EQ(models::decode_session_bytes(got),
+              models::decode_session_bytes(want))
+        << what;
+    ASSERT_EQ(got.layers.size(), want.layers.size()) << what;
+    for (std::size_t l = 0; l < got.layers.size(); ++l) {
+        const nn::AttnPrefixCache& g = got.layers[l];
+        const nn::AttnPrefixCache& w = want.layers[l];
+        const std::string at = what + " layer " + std::to_string(l);
+        EXPECT_EQ(g.prefix, w.prefix) << at;
+        EXPECT_EQ(g.native, w.native) << at;
+        EXPECT_EQ(g.k_heads, w.k_heads) << at << " K streams";
+        EXPECT_EQ(g.v_slabs, w.v_slabs) << at << " V slabs";
+        ASSERT_EQ(g.v_tail.size(), w.v_tail.size()) << at;
+        EXPECT_TRUE(same_bits(g.v_tail.data(), w.v_tail.data(),
+                              g.v_tail.size()))
+            << at << " V tail";
+        ASSERT_TRUE(g.k.same_shape(w.k) && g.v.same_shape(w.v)) << at;
+        EXPECT_TRUE(same_bits(g.k.data(), w.k.data(),
+                              static_cast<std::size_t>(g.k.numel())) &&
+                    same_bits(g.v.data(), w.v.data(),
+                              static_cast<std::size_t>(g.v.numel())))
+            << at << " FP32 K/V rows";
+    }
+}
+
+/** One stream of a decode_step test batch. */
+struct StepCase
+{
+    std::string name;
+    std::vector<int> context;
+    /// Pre-step session; null = a session-0 row.
+    std::shared_ptr<models::GptDecodeSession> session;
+};
+
+/** A session that already covers @p tokens. */
+std::shared_ptr<models::GptDecodeSession>
+warm_session(models::GptMini& model, const std::vector<int>& tokens)
+{
+    auto s = std::make_shared<models::GptDecodeSession>();
+    model.decode_logits(tokens, s.get());
+    return s;
+}
+
+/** A @p n-token context drawn from the model's vocab by (a*i + b). */
+std::vector<int>
+context_of(const models::GptMini& model, int n, int a, int b)
+{
+    std::vector<int> c;
+    for (int i = 0; i < n; ++i)
+        c.push_back((a * i + b) % model.config().vocab);
+    return c;
+}
+
+/**
+ * Run @p cases as ONE fused decode_step and as one single-stream
+ * decode_step each (on copies of the same pre-step sessions); every
+ * logits row and every post-step session must match bit for bit.
+ */
+void
+expect_fused_equals_single(models::GptMini& model,
+                           const std::vector<StepCase>& cases,
+                           const std::string& what)
+{
+    const int vocab = model.config().vocab;
+    std::vector<std::vector<int>> contexts;
+    std::vector<models::GptDecodeSession*> fused;
+    std::vector<std::shared_ptr<models::GptDecodeSession>> single;
+    for (const StepCase& c : cases) {
+        contexts.push_back(c.context);
+        fused.push_back(c.session.get());
+        single.push_back(c.session == nullptr
+                             ? nullptr
+                             : std::make_shared<models::GptDecodeSession>(
+                                   *c.session));
+    }
+    const Tensor out = model.decode_step(contexts, fused);
+    ASSERT_EQ(out.dim(0), static_cast<std::int64_t>(cases.size()));
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const std::string at = what + ": " + cases[i].name;
+        const Tensor ref =
+            model.decode_step({cases[i].context}, {single[i].get()});
+        EXPECT_TRUE(same_bits(out.data() + i * vocab, ref.data(),
+                              static_cast<std::size_t>(vocab)))
+            << at << " logits";
+        if (cases[i].session != nullptr)
+            expect_same_session(*cases[i].session, *single[i], at);
+    }
+}
+
+/** The SIMD levels this build and host can run (scalar always). */
+std::vector<core::kernels::SimdLevel>
+available_levels()
+{
+    std::vector<core::kernels::SimdLevel> levels = {
+        core::kernels::SimdLevel::Scalar};
+    if (core::kernels::avx2_supported())
+        levels.push_back(core::kernels::SimdLevel::Avx2);
+    if (core::kernels::avx512_supported())
+        levels.push_back(core::kernels::SimdLevel::Avx512);
+    return levels;
+}
+
+/** A batch-function request tensor from decode contexts. */
+Tensor
+decode_rows(const std::vector<std::vector<int>>& contexts,
+            std::int64_t seq_len)
+{
+    Tensor in({static_cast<std::int64_t>(contexts.size()), seq_len});
+    for (std::size_t r = 0; r < contexts.size(); ++r) {
+        const std::vector<float> row =
+            models::GptMini::pack_decode_row(contexts[r], seq_len);
+        std::copy(row.begin(), row.end(),
+                  in.data() + static_cast<std::int64_t>(r) * seq_len);
+    }
+    return in;
+}
+
+} // namespace
+
+TEST(DecodeStep, MixedBatchMatchesOneSessionStepsOnEveryLeg)
+{
+    // One fused step over every kind of row the serving path sees must
+    // equal one single-stream step per row — logits and the whole
+    // post-step session — on every dispatch leg.  k1 = 16, window 32.
+    for (core::kernels::SimdLevel level : available_levels()) {
+        core::kernels::set_simd_level(level);
+        models::GptMini model = make_decode_gpt_fmt(core::mx9(), 32, 2);
+        const std::string leg =
+            "leg " + std::to_string(static_cast<int>(level));
+
+        const std::vector<int> a = context_of(model, 32, 7, 3);
+        const std::vector<int> b = context_of(model, 32, 5, 1);
+        const std::vector<int> c = context_of(model, 32, 3, 2);
+        std::vector<int> c_div(c.begin(), c.begin() + 18);
+        c_div.push_back((c[18] + 1) % model.config().vocab);
+
+        std::vector<StepCase> mixed;
+        mixed.push_back({"warm s=1", {a.begin(), a.begin() + 11},
+                         warm_session(model, {a.begin(), a.begin() + 10})});
+        mixed.push_back({"crosses k1", {b.begin(), b.begin() + 16},
+                         warm_session(model, {b.begin(), b.begin() + 15})});
+        mixed.push_back({"diverged in a slab", c_div,
+                         warm_session(model, {c.begin(), c.begin() + 20})});
+        mixed.push_back({"session 0", {a.begin(), a.begin() + 6}, nullptr});
+        mixed.push_back({"cold prompt", {b.begin(), b.begin() + 9},
+                         std::make_shared<models::GptDecodeSession>()});
+        mixed.push_back({"warm past a slab", {c.begin(), c.begin() + 28},
+                         warm_session(model, {c.begin(), c.begin() + 27})});
+        ASSERT_EQ(mixed[2].session->layers[0].v_slabs.size(), 1u)
+            << "the divergence case needs a committed slab";
+        expect_fused_equals_single(model, mixed, leg + " mixed");
+
+        // 30 + 30 + 30 + 1 new rows: more than one A tile, so the step
+        // splits into fused groups.
+        std::vector<StepCase> split;
+        for (int i = 0; i < 3; ++i)
+            split.push_back({"cold 30 #" + std::to_string(i),
+                             context_of(model, 30, 2 * i + 1, i),
+                             std::make_shared<models::GptDecodeSession>()});
+        split.push_back({"warm s=1", {a.begin(), a.begin() + 12},
+                         warm_session(model, {a.begin(), a.begin() + 11})});
+        expect_fused_equals_single(model, split, leg + " split");
+    }
+    core::kernels::reset_simd_level();
+}
+
+TEST(DecodeStep, PerTensorScaledSpecRunsStreamsAlone)
+{
+    // FP8 activations share one per-tensor scale, so rows would couple
+    // if fused: the step must run each stream alone, and match the
+    // single-stream step exactly (sessions never engage).
+    models::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.d_model = 32;
+    cfg.heads = 2;
+    cfg.layers = 1;
+    cfg.seq_len = 8;
+    cfg.spec = nn::QuantSpec::forward_only(core::fp8_e4m3());
+    cfg.seed = 43;
+    models::GptMini model(cfg);
+    model.freeze();
+
+    std::vector<StepCase> cases;
+    cases.push_back({"session", {5, 2, 7},
+                     std::make_shared<models::GptDecodeSession>()});
+    cases.push_back({"session 0", {1, 1, 4, 9, 3}, nullptr});
+    cases.push_back({"second session", {0, 6},
+                     std::make_shared<models::GptDecodeSession>()});
+    expect_fused_equals_single(model, cases, "fp8");
+    EXPECT_TRUE(cases[0].session->layers.empty());
+}
+
+TEST(DecodeStep, WarmStepIssuesOneGemmPerWeightForAnyBatch)
+{
+    // The fusion's count contract, from the gemm.calls counter: a warm
+    // step runs each of the 4 layers' 6 weight GEMMs (wq, wk, wv, wo,
+    // ff1, ff2) and the LM head once for the whole batch.  Attention
+    // adds one Q K^T and one P V GEMM per (stream, head, layer).
+    if (!core::kernels::avx2_supported())
+        GTEST_SKIP() << "the packed GEMM needs a SIMD leg to count";
+    core::kernels::set_simd_level(core::kernels::SimdLevel::Avx512);
+    models::GptMini model = make_decode_gpt_fmt(core::mx9(), 16, 4);
+    const std::uint64_t heads = static_cast<std::uint64_t>(
+        model.config().heads);
+    const std::uint64_t layers = static_cast<std::uint64_t>(
+        model.config().layers);
+    const obs::Counter& calls = obs::counter("gemm.calls");
+    for (std::uint64_t batch : {1u, 3u, 8u}) {
+        std::vector<std::vector<int>> contexts;
+        std::vector<std::shared_ptr<models::GptDecodeSession>> held;
+        std::vector<models::GptDecodeSession*> sessions;
+        for (std::uint64_t i = 0; i < batch; ++i) {
+            contexts.push_back(
+                context_of(model, 7, 2 * static_cast<int>(i) + 1,
+                           static_cast<int>(i)));
+            held.push_back(warm_session(
+                model, {contexts.back().begin(), contexts.back().end() - 1}));
+            sessions.push_back(held.back().get());
+        }
+        const std::uint64_t before = calls.value();
+        model.decode_step(contexts, sessions);
+        EXPECT_EQ(calls.value() - before,
+                  layers * 6 + 1 + 2 * batch * heads * layers)
+            << "batch of " << batch;
+    }
+    core::kernels::reset_simd_level();
+}
+
+TEST(DecodeStep, RowValidationRejectsMalformedContexts)
+{
+    const std::int64_t T = 6;
+    const std::int64_t vocab = 16;
+    const std::vector<float> ok = {3, 15, 0, -1, -1, -1};
+    EXPECT_EQ(models::GptMini::unpack_decode_row(ok.data(), T, vocab),
+              (std::vector<int>{3, 15, 0}));
+    const std::vector<std::vector<float>> bad = {
+        {3.7f, -1, -1, -1, -1, -1},   // not an integer
+        {16, -1, -1, -1, -1, -1},     // outside the vocab
+        {2, -2, -1, -1, -1, -1},      // negative but not padding
+        {std::nanf(""), -1, -1, -1, -1, -1},
+        {3, -1, 5, -1, -1, -1},       // token after a -1 hole
+        {-1, -1, -1, -1, -1, -1},     // no tokens
+    };
+    for (const std::vector<float>& row : bad)
+        EXPECT_THROW(models::GptMini::unpack_decode_row(row.data(), T, vocab),
+                     ArgumentError)
+            << "row starting " << row[0] << ", " << row[1];
+
+    // The direct API refuses one session for two contexts.
+    models::GptMini model = make_decode_gpt();
+    models::GptDecodeSession s;
+    EXPECT_THROW(model.decode_step({{1, 2}, {3, 4}}, {&s, &s}),
+                 ArgumentError);
+}
+
+TEST(DecodeStep, MalformedRowFailsItsBatchBeforeAnyCheckout)
+{
+    models::GptMini model = make_decode_gpt();
+    const std::int64_t T = model.config().seq_len;
+    serve::SessionCache cache(8);
+    auto fn = models::gpt_decode_batch_fn(model, cache);
+
+    std::vector<std::vector<int>> ctx = {{3, 1, 4}, {2, 7}};
+    fn(decode_rows(ctx, T), {1, 2});
+    ctx[0].push_back(9);
+    ctx[1].push_back(5);
+    fn(decode_rows(ctx, T), {1, 2});
+
+    auto snapshot = [&cache](std::uint64_t id) {
+        auto st = cache.take<models::GptDecodeSession>(id);
+        EXPECT_NE(st, nullptr) << "session " << id;
+        if (st == nullptr)
+            return models::GptDecodeSession{};
+        models::GptDecodeSession copy = *st;
+        cache.put(id, std::move(st), models::decode_session_bytes(copy));
+        return copy;
+    };
+    const models::GptDecodeSession before1 = snapshot(1);
+    const models::GptDecodeSession before2 = snapshot(2);
+
+    // A batch whose middle row is malformed: the whole batch fails and
+    // neither mate's cached state moves.
+    Tensor in = decode_rows({ctx[0], {6, 6}, ctx[1]}, T);
+    in.data()[T + 1] = 3.7f;
+    EXPECT_THROW(fn(in, {1, 3, 2}), ArgumentError);
+    EXPECT_EQ(cache.size(), 2u);
+    expect_same_session(snapshot(1), before1, "mate 1");
+    expect_same_session(snapshot(2), before2, "mate 2");
+
+    // The mates' next step is bit-identical to a cold decode.
+    ctx[0].push_back(1);
+    ctx[1].push_back(0);
+    const Tensor warm = fn(decode_rows(ctx, T), {1, 2});
+    for (std::size_t r = 0; r < ctx.size(); ++r) {
+        const Tensor cold = model.decode_logits(ctx[r], nullptr);
+        EXPECT_TRUE(same_bits(warm.data() + r * cold.numel(), cold.data(),
+                              static_cast<std::size_t>(cold.numel())))
+            << "stream " << r;
+    }
+}
+
+TEST(DecodeStep, ThrowAfterCheckoutDropsEveryTakenSession)
+{
+    // A session built for another model passes row validation but
+    // fails inside the step, after every row's session was checked
+    // out: all of them are dropped, none put back half-advanced.
+    models::GptMini model = make_decode_gpt();
+    const std::int64_t T = model.config().seq_len;
+    serve::SessionCache cache(8);
+    auto fn = models::gpt_decode_batch_fn(model, cache);
+
+    std::vector<int> ctx = {3, 1, 4};
+    fn(decode_rows({ctx}, T), {1});
+    auto alien = std::make_shared<models::GptDecodeSession>();
+    alien->tokens = {2, 7};
+    alien->layers.resize(5);
+    cache.put(2, alien, 0);
+
+    ctx.push_back(1);
+    EXPECT_THROW(fn(decode_rows({ctx, {2, 7, 1}}, T), {1, 2}),
+                 ArgumentError);
+    EXPECT_EQ(cache.size(), 0u);
+
+    ctx.push_back(5);
+    const Tensor warm = fn(decode_rows({ctx}, T), {1});
+    const Tensor cold = model.decode_logits(ctx, nullptr);
+    EXPECT_TRUE(same_bits(warm.data(), cold.data(),
+                          static_cast<std::size_t>(cold.numel())));
+}
+
+TEST(DecodeStep, DuplicateSessionIdsInOneBatchRecomputeAndLastPutWins)
+{
+    // Take-all-then-put-all: the first row checks the session out, so
+    // the second row with the same id misses and recomputes from
+    // scratch (same bits); both are put back in row order and the
+    // last put wins.
+    models::GptMini model = make_decode_gpt();
+    const std::int64_t T = model.config().seq_len;
+    serve::SessionCache cache(8);
+    auto fn = models::gpt_decode_batch_fn(model, cache);
+
+    const std::vector<int> x = {3, 1, 4};
+    fn(decode_rows({x}, T), {5});
+    const std::vector<int> x2 = {3, 1, 4, 1};
+    const std::vector<int> y = {9, 2};
+    const serve::SessionCache::Stats s0 = cache.stats();
+    const Tensor out = fn(decode_rows({x2, y}, T), {5, 5});
+    const serve::SessionCache::Stats s1 = cache.stats();
+    EXPECT_EQ(s1.hits - s0.hits, 1u);
+    EXPECT_EQ(s1.misses - s0.misses, 1u);
+
+    const int vocab = model.config().vocab;
+    const Tensor cold_x2 = model.decode_logits(x2, nullptr);
+    const Tensor cold_y = model.decode_logits(y, nullptr);
+    EXPECT_TRUE(same_bits(out.data(), cold_x2.data(),
+                          static_cast<std::size_t>(vocab)));
+    EXPECT_TRUE(same_bits(out.data() + vocab, cold_y.data(),
+                          static_cast<std::size_t>(vocab)));
+
+    EXPECT_EQ(cache.size(), 1u);
+    auto st = cache.take<models::GptDecodeSession>(5);
+    ASSERT_NE(st, nullptr);
+    EXPECT_EQ(st->tokens, y);
+}
+
+TEST(DecodeStep, FullWindowMatchesTheFixedWindowForward)
+{
+    // An oracle outside the decode path: in a one-layer model, the last
+    // position of a full window sees every key, so causal-visibility
+    // quantization and the fixed-window forward cut the same Q, K and
+    // transposed-V blocks there — decode (K streams, V slabs and tail,
+    // fused across streams) must reproduce window_logits bit for bit.
+    // 40 keys = two committed k1 = 16 slabs plus an 8-key tail.
+    for (core::kernels::SimdLevel level : available_levels()) {
+        core::kernels::set_simd_level(level);
+        for (std::int64_t T : {32, 40}) {
+            models::GptMini model = make_decode_gpt_fmt(core::mx9(), T, 1);
+            std::vector<std::vector<int>> windows;
+            for (int w = 0; w < 3; ++w)
+                windows.push_back(context_of(model, static_cast<int>(T),
+                                             2 * w + 3, w));
+            const Tensor oracle = model.window_logits(decode_rows(windows, T));
+            const Tensor fused = model.decode_step(
+                windows, std::vector<models::GptDecodeSession*>(
+                             windows.size(), nullptr));
+            ASSERT_TRUE(oracle.same_shape(fused));
+            EXPECT_TRUE(same_bits(fused.data(), oracle.data(),
+                                  static_cast<std::size_t>(oracle.numel())))
+                << "leg " << static_cast<int>(level) << ", window " << T;
+        }
+    }
+    core::kernels::reset_simd_level();
 }
