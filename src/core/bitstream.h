@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -36,6 +37,16 @@ namespace core {
 class BitWriter
 {
   public:
+    BitWriter() = default;
+
+    /** Append after the contents of @p bytes (moved in; take() hands the
+     *  vector back): fields land in its spare capacity first, so a
+     *  caller that reserved enough pays no reallocation. */
+    explicit BitWriter(std::vector<std::uint8_t> bytes)
+        : bytes_(std::move(bytes))
+    {
+    }
+
     /** Append the low @p bits of @p value (bits in [0, 64]). */
     void
     write(std::uint64_t value, int bits)
@@ -53,6 +64,10 @@ class BitWriter
             bit_pos_ = (bit_pos_ + take) & 7;
         }
     }
+
+    /** Close the current byte: the next field starts on a byte
+     *  boundary, and the closed byte's unused high bits stay zero. */
+    void pad_to_byte() { bit_pos_ = 0; }
 
     /** Total number of bits written. */
     std::size_t

@@ -24,21 +24,22 @@
  *
  * Every integer step is exact (the GemmPlan proves int64 headroom), so
  * any implementation that reorders the integer work — AVX2 madd lanes,
- * AVX-512 VNNI dot-accumulate lanes, per-sub-block int32 partial sums —
- * produces the same block integer, and the per-block double->float
- * rounding pins the FP result.  The FP32 accumulation across blocks is
- * NOT reorderable, so every execution shape below preserves ascending
- * block order per element:
+ * AVX-512 VNNI dot-accumulate lanes, per-sub-block int32 partial sums,
+ * mantissas pre-shifted per operand, column-transposing reduction
+ * trees — produces the same block integer, and the per-block
+ * double->float rounding pins the FP result.  The FP32 accumulation
+ * across blocks is NOT reorderable, so every execution shape below
+ * preserves ascending block order per element:
  *
  *  - Cache blocking.  The whole-GEMM drivers walk C in (mc x nc) output
  *    tiles (kTileRowsA x kTileRowsB); inside a tile the kernels loop
  *    kc-sized k1-block panels (kPanelBlocks) outermost, accumulating
  *    each panel's contribution into C.  Panels ascend, and FP32
  *    loads/stores of intermediate sums are exact, so the per-element
- *    addition sequence is identical to one streaming pass.  A register
- *    block of B rows (the microkernel's j unroll) stays resident in L1
- *    across a panel, and the A row's panel slice is reused across every
- *    B row in the tile.
+ *    addition sequence is identical to one streaming pass.  A SIMD
+ *    column group's B rows (8 on AVX2, 16 on AVX-512) stay resident in
+ *    L1 across a panel, and the A row's panel slice is reused across
+ *    every B row in the tile.
  *  - Multithreading.  matmul_nt_packed{,2}, matmul_nt_prequant and
  *    matmul_nn_packed shard the FIXED tile grid across a thread pool
  *    sized by MX_GEMM_THREADS (default: the MX_THREADS pool size; 1 =
@@ -139,6 +140,7 @@ class PackedGemmKernel
      * FULL contraction (kc panels are internal).  @p ldc is C's row
      * stride (b.rows for a whole GEMM).  Must write every element of
      * the tile exactly per the file contract, and nothing outside it.
+     * Tiles come from the drivers' grid: at most kTileRowsB wide.
      */
     virtual void gemm_tile(const GemmPlan& plan, const PackedOperand& a,
                            const PackedOperand& b, const Tile& t,
@@ -329,16 +331,33 @@ block_contrib(const GemmPlan& plan, const std::int16_t* am_row,
 
 /**
  * True when (plan) fits the SIMD fast path shared by the AVX2 and
- * AVX-512 kernels: the MX family's k1 = 16, k2 = 2 on both sides, and
- * enough int32 headroom to sum a block's 8 shifted sub-sums (products
- * reach 2^(ma+mb+1) per pair, << budget, x8 sub-blocks).
+ * AVX-512 kernels:
+ *  - the MX family's k1 = 16, k2 = 2 on both sides;
+ *  - enough int32 headroom to sum a block's 8 shifted sub-sums (products
+ *    reach 2^(ma+mb+1) per pair, << budget, x8 sub-blocks).  The bound
+ *    is on the sum of magnitudes, so every subset of the sub-sums — any
+ *    node of the kernels' reduction trees — is exact in int32 too;
+ *  - each side's mantissa shifted by up to its beta still fits int16
+ *    (m + beta <= 15), so a kernel may align mantissas before the
+ *    multiply instead of shifting the products;
+ *  - every combined block exponent e = Ea + Eb - exp_bias the two
+ *    operands can hold lies in [-1022, 1023], so the kernels form 2^e by
+ *    bit-casting (e + 1023) << 52, which equals pow2_double(e) there.
+ *    Each operand's d1-bit exponent field decodes to
+ *    [-e_max, 2^d1 - 1 - e_max], a superset of what quantize emits.
+ * Proven once per plan from the QuantPlans; no kernel checks a block.
  */
 inline bool
 simd_fast_path(const GemmPlan& plan)
 {
+    const int e_lo = -plan.a.e_max - plan.b.e_max - plan.exp_bias;
+    const int e_hi = ((1 << plan.a.d1) - 1 - plan.a.e_max) +
+                     ((1 << plan.b.d1) - 1 - plan.b.e_max) - plan.exp_bias;
     return plan.a.k1 == 16 && plan.a.k2 == 2 && plan.b.k2 == 2 &&
            plan.a.d2 > 0 && plan.b.d2 > 0 &&
-           plan.a.m + plan.b.m + 1 + plan.budget + 3 <= 31;
+           plan.a.m + plan.b.m + 1 + plan.budget + 3 <= 31 &&
+           plan.a.m + plan.a.beta <= 15 && plan.b.m + plan.b.beta <= 15 &&
+           e_lo >= -1022 && e_hi <= 1023;
 }
 
 } // namespace detail

@@ -55,17 +55,19 @@ pack_rows_aligned(const QuantPlan& plan, const float* x, std::size_t rows,
     const core::kernels::QuantKernel& kernel =
         core::kernels::active_kernel();
     const std::size_t stride = row_stream_bytes(plan, cols);
+    const std::size_t want = out.size() + rows * stride;
+    // One growth at most; the writer then packs every row in place.
+    out.reserve(want);
+    core::BitWriter w(std::move(out));
     for (std::size_t r = 0; r < rows; ++r) {
-        // One writer per row: BitWriter zero-pads its final partial
-        // byte, which is exactly the byte-aligned row boundary.
-        core::BitWriter w;
         kernel.quantize_pack_rows(plan, x + r * cols, 1, cols, rounder, w);
-        std::vector<std::uint8_t> bytes = w.take();
-        MX_CHECK(bytes.size() == stride,
-                 "pack_rows_aligned: row packed to " << bytes.size()
-                     << " bytes, expected " << stride);
-        out.insert(out.end(), bytes.begin(), bytes.end());
+        // The zero-padded partial byte is the byte-aligned row boundary.
+        w.pad_to_byte();
     }
+    out = w.take();
+    MX_CHECK(out.size() == want, "pack_rows_aligned: rows packed to "
+                                     << out.size() << " bytes, expected "
+                                     << want);
 }
 
 std::size_t

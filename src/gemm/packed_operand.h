@@ -145,7 +145,9 @@ std::size_t row_stream_bytes(const core::kernels::QuantPlan& plan,
  * packed bits to @p out at a byte-aligned offset (zero-padding the
  * row's final partial byte).  The append form of the native MX K/V
  * cache: quantize once when a token arrives, then only bytes move.
- * Grows @p out by rows * row_stream_bytes(plan, cols).
+ * Grows @p out by rows * row_stream_bytes(plan, cols), reallocating
+ * at most once (never when its capacity already suffices); the rows are
+ * packed straight into it.  On a throw @p out is valid but unspecified.
  */
 void pack_rows_aligned(const core::kernels::QuantPlan& plan,
                        const float* x, std::size_t rows, std::size_t cols,

@@ -22,8 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/kernels/dispatch.h"
@@ -31,6 +34,7 @@
 #include "gemm/gemm_plan.h"
 #include "gemm/packed_gemm.h"
 #include "gemm/packed_operand.h"
+#include "hw/pipeline.h"
 #include "nn/attention.h"
 #include "nn/frozen.h"
 #include "nn/linear.h"
@@ -80,6 +84,51 @@ spread_randn(std::int64_t rows, std::int64_t cols, stats::Rng& rng)
         for (std::int64_t c = 0; c < cols; ++c)
             t.data()[2 * cols + c] = 0.0f;
     return t;
+}
+
+/** Random [rows x cols] whose scale changes per k1 block inside each
+ *  row: every 16-element block draws its own 2^u, u ~ U(-20, 20), so
+ *  each output's FP32 block chain crosses exponents (spread_randn only
+ *  spreads per row, so a row's blocks share one magnitude). */
+Tensor
+block_spread_randn(std::int64_t rows, std::int64_t cols, stats::Rng& rng)
+{
+    Tensor t = Tensor::randn({rows, cols}, rng, 1.0f);
+    for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t c0 = 0; c0 < cols; c0 += 16) {
+            const float s =
+                static_cast<float>(std::exp2(rng.uniform(-20.0, 20.0)));
+            for (std::int64_t c = c0; c < std::min(cols, c0 + 16); ++c)
+                t.data()[r * cols + c] *= s;
+        }
+    return t;
+}
+
+/** The input generators the bit-identity and oracle suites sweep. */
+using Generator = Tensor (*)(std::int64_t, std::int64_t, stats::Rng&);
+struct NamedGenerator
+{
+    const char* name;
+    Generator make;
+};
+const NamedGenerator kGenerators[] = {{"row_spread", spread_randn},
+                                      {"block_spread", block_spread_randn}};
+
+/** First flat index where @p a and @p b differ bit for bit (any NaN
+ *  matches any NaN), or -1 when they are identical. */
+std::int64_t
+first_bit_mismatch(const Tensor& a, const Tensor& b)
+{
+    if (a.numel() != b.numel())
+        return 0;
+    for (std::int64_t i = 0; i < a.numel(); ++i) {
+        const float x = a.data()[i], y = b.data()[i];
+        if (std::bit_cast<std::uint32_t>(x) !=
+                std::bit_cast<std::uint32_t>(y) &&
+            !(std::isnan(x) && std::isnan(y)))
+            return i;
+    }
+    return -1;
 }
 
 /** Naive triple-loop double-accumulation reference for C = A * B^T. */
@@ -246,8 +295,16 @@ struct GemmCase
     std::int64_t m, k, n;
 };
 
-const GemmCase kCases[] = {{1, 16, 1},  {4, 19, 6},   {8, 64, 16},
-                           {5, 35, 9},  {16, 128, 24}, {3, 256, 7}};
+const GemmCase kCases[] = {
+    {1, 16, 1},    {4, 19, 6},    {8, 64, 16},  {5, 35, 9},
+    {16, 128, 24}, {3, 256, 7},
+    // The column-group kernels' shapes: full 16-column groups plus a
+    // ragged remainder; an odd full-block count with a ragged K tail
+    // (the tail pairs with a full block); a lone full trailing block;
+    // K past kPanelBlocks * 16 = 512, so the second panel reloads C;
+    // and the decode / prefill projection shapes.
+    {4, 64, 40},   {3, 87, 20},   {4, 56, 17},  {2, 80, 33},
+    {8, 1024, 40}, {8, 256, 1024}, {48, 1024, 256}};
 
 /** Per-format QSNR floor of a packed GEMM against the FP32 oracle on
  *  Gaussian operands — dominated by the quantization error of the two
@@ -755,6 +812,30 @@ TEST(PackedOperand, AlignedRowStreamAppendsAndDecodesExactly)
     }
 }
 
+TEST(PackedOperand, AlignedRowPackWritesInPlaceWhenCapacitySuffices)
+{
+    // The K/V append path packs into a reused buffer: with room
+    // reserved, packing must not reallocate, and it must append the same
+    // bytes a fresh buffer receives.
+    stats::Rng rng(124);
+    const QuantPlan plan = make_quant_plan(core::mx9());
+    core::Rounder rounder;
+    const std::size_t rows = 4, cols = 19;
+    Tensor x = spread_randn(static_cast<std::int64_t>(rows),
+                            static_cast<std::int64_t>(cols), rng);
+    std::vector<std::uint8_t> fresh;
+    gemm::pack_rows_aligned(plan, x.data(), rows, cols, rounder, fresh);
+
+    std::vector<std::uint8_t> reused = {0xAB};
+    reused.reserve(1 + fresh.size());
+    const std::uint8_t* before = reused.data();
+    gemm::pack_rows_aligned(plan, x.data(), rows, cols, rounder, reused);
+    EXPECT_EQ(reused.data(), before);
+    ASSERT_EQ(reused.size(), 1 + fresh.size());
+    EXPECT_EQ(reused[0], 0xAB);
+    EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), reused.begin() + 1));
+}
+
 // ---------------------------------------------------------------------------
 // Blocked + threaded execution: the output-tile grid is fixed by shape
 // alone, so every entry point is bit-identical for any MX_GEMM_THREADS
@@ -973,8 +1054,8 @@ TEST(PackedGemmAvx512, NnLegBitIdenticalToScalar)
     if (gemm::avx512_gemm_kernel() == nullptr ||
         !core::kernels::avx512_supported())
         GTEST_SKIP() << "no AVX-512/VNNI on this host/build";
-    // k = 80 gives 5 chunks: two VNNI block pairs + the odd trailing
-    // chunk; k = 40 adds the ragged tail chunk behind one pair.
+    // k = 80 gives 5 full chunks (an odd count); k = 40 ends in a
+    // ragged tail chunk.
     stats::Rng rng(133);
     constexpr std::size_t k1 = 16;
     for (const auto& fmt : mx_formats()) {
@@ -1019,6 +1100,286 @@ TEST(PackedGemmAvx512, NnLegBitIdenticalToScalar)
                 << fmt.name << " k=" << k;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The column-group kernels on every leg and thread count: scalar ==
+// AVX2 == AVX-512 bit for bit on the shapes the vector loops add (full
+// and ragged column groups, ragged K tails, panel reloads, decode and
+// prefill shapes), under both per-row and per-block magnitude spreads.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** (activation, weight) format pairs: each MX format with itself, plus
+ *  a Table IV split. */
+std::vector<std::pair<core::BdrFormat, core::BdrFormat>>
+leg_format_pairs()
+{
+    return {{core::mx9(), core::mx9()},
+            {core::mx6(), core::mx6()},
+            {core::mx4(), core::mx4()},
+            {core::mx9(), core::mx4()}};
+}
+
+/** Run @p body on every SIMD level this host runs, each at
+ *  MX_GEMM_THREADS 1, 2 and 7. */
+template <typename Fn>
+void
+for_each_leg_and_threads(Fn&& body)
+{
+    for_each_simd_level([&](const char* leg) {
+        for (std::size_t t :
+             {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+            ScopedGemmThreads threads(t);
+            body(leg, t);
+        }
+    });
+}
+
+/**
+ * B [n x k] as one packed chunk per k1 block — rows along the output
+ * columns, each chunk embedded at row_off = pad inside a taller operand
+ * — the way P·V reads the native V cache.
+ */
+struct NnChunks
+{
+    std::vector<gemm::PackedOperand> ops;
+    std::vector<gemm::NnBlockRef> refs;
+};
+
+NnChunks
+make_nn_chunks(const QuantPlan& plan, const Tensor& b, std::size_t pad)
+{
+    constexpr std::size_t k1 = 16;
+    const std::size_t n = static_cast<std::size_t>(b.dim(0));
+    const std::size_t k = static_cast<std::size_t>(b.dim(1));
+    core::Rounder rounder;
+    NnChunks out;
+    for (std::size_t c0 = 0; c0 < k; c0 += k1) {
+        const std::size_t w = std::min(k1, k - c0);
+        std::vector<float> slab((pad + n) * w);
+        for (std::size_t r = 0; r < pad + n; ++r)
+            for (std::size_t c = 0; c < w; ++c)
+                slab[r * w + c] = r < pad ? static_cast<float>(r + 1)
+                                          : b.data()[(r - pad) * k + c0 + c];
+        out.ops.push_back(gemm::PackedOperand::quantize(
+            plan, slab.data(), pad + n, w, rounder));
+    }
+    for (const gemm::PackedOperand& op : out.ops)
+        out.refs.push_back({&op, pad});
+    return out;
+}
+
+/** NN-leg shapes {m, k, n}: an odd chunk count, a ragged tail chunk
+ *  with a ragged column group, decode P·V rows, K past one panel with
+ *  and without a tail, and n past the tile width. */
+const GemmCase kNnCases[] = {{4, 80, 9},     {4, 40, 40},  {1, 200, 32},
+                             {8, 1024, 64},  {5, 1030, 40}, {16, 48, 70}};
+
+} // namespace
+
+TEST(PackedGemmLegs, NtBitIdenticalAcrossLegsAndThreadCounts)
+{
+    stats::Rng rng(140);
+    core::Rounder rounder;
+    for (const NamedGenerator& gen : kGenerators) {
+        for (const auto& [fa, fb] : leg_format_pairs()) {
+            const QuantPlan pa = make_quant_plan(fa);
+            const QuantPlan pb = make_quant_plan(fb);
+            const gemm::GemmPlan plan = gemm::make_gemm_plan(pa, pb);
+            for (const GemmCase& cs : kCases) {
+                Tensor x = gen.make(cs.m, cs.k, rng);
+                Tensor w = gen.make(cs.n, cs.k, rng);
+                const auto a = gemm::PackedOperand::quantize(
+                    pa, x.data(), static_cast<std::size_t>(cs.m),
+                    static_cast<std::size_t>(cs.k), rounder);
+                const auto b = gemm::PackedOperand::quantize(
+                    pb, w.data(), static_cast<std::size_t>(cs.n),
+                    static_cast<std::size_t>(cs.k), rounder);
+                Tensor ref({cs.m, cs.n});
+                gemm::scalar_gemm_kernel().gemm(plan, a, b, ref.data());
+                for_each_leg_and_threads([&](const char* leg,
+                                             std::size_t t) {
+                    Tensor got = gemm::matmul_nt_prequant(plan, a, b);
+                    EXPECT_EQ(first_bit_mismatch(got, ref), -1)
+                        << gen.name << " " << fa.name << " x " << fb.name
+                        << " [" << cs.m << "," << cs.k << "," << cs.n
+                        << "] leg=" << leg << " t=" << t;
+                });
+            }
+        }
+    }
+}
+
+TEST(PackedGemmLegs, NnBitIdenticalAcrossLegsAndThreadCounts)
+{
+    stats::Rng rng(141);
+    core::Rounder rounder;
+    for (const NamedGenerator& gen : kGenerators) {
+        for (const auto& fmt : mx_formats()) {
+            const QuantPlan plan = make_quant_plan(fmt);
+            const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+            for (const GemmCase& cs : kNnCases) {
+                Tensor x = gen.make(cs.m, cs.k, rng);
+                Tensor b = gen.make(cs.n, cs.k, rng);
+                const auto a = gemm::PackedOperand::quantize(
+                    plan, x.data(), static_cast<std::size_t>(cs.m),
+                    static_cast<std::size_t>(cs.k), rounder);
+                const NnChunks chunks = make_nn_chunks(plan, b, 3);
+                const std::size_t n = static_cast<std::size_t>(cs.n);
+                Tensor ref({cs.m, cs.n});
+                gemm::scalar_gemm_kernel().gemm_nn(gp, a, chunks.refs, n,
+                                                   ref.data());
+                for_each_leg_and_threads([&](const char* leg,
+                                             std::size_t t) {
+                    Tensor got =
+                        gemm::matmul_nn_packed(gp, a, chunks.refs, n);
+                    EXPECT_EQ(first_bit_mismatch(got, ref), -1)
+                        << gen.name << " " << fmt.name << " [" << cs.m
+                        << "," << cs.k << "," << cs.n << "] leg=" << leg
+                        << " t=" << t;
+                });
+            }
+        }
+    }
+}
+
+TEST(PackedGemmLegs, DecodedExponentFieldExtremesBitIdentical)
+{
+    // Random bytes decode to valid operands whose exponent fields span
+    // the whole d1 range — including the e_max + 1 code quantize never
+    // emits — so the combined block exponents reach both ends of
+    // simd_fast_path's range proof (d1 = 8 and 9 stay on the vector
+    // path; d1 = 11 falls back to the scalar tile kernel).  Outputs
+    // overflow and cancel freely here, hence the NaN-tolerant match.
+    stats::Rng rng(142);
+    const std::size_t m = 5, n = 37, k = 87;
+    for (const auto& fmt : {core::mx9(), core::mx4(),
+                            core::mx_custom(7, 9, 16, 1, 2),
+                            core::mx_custom(7, 11, 16, 1, 2)}) {
+        const QuantPlan plan = make_quant_plan(fmt);
+        const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+        const auto random_operand = [&](std::size_t rows) {
+            std::vector<std::uint8_t> bytes(
+                (rows * gemm::row_bits(plan, k) + 7) / 8);
+            for (std::uint8_t& byte : bytes)
+                byte = static_cast<std::uint8_t>(rng.next_u32());
+            return gemm::PackedOperand::decode(plan, bytes, rows, k);
+        };
+        const gemm::PackedOperand a = random_operand(m);
+        const gemm::PackedOperand b = random_operand(n);
+        Tensor ref({static_cast<std::int64_t>(m),
+                    static_cast<std::int64_t>(n)});
+        gemm::scalar_gemm_kernel().gemm(gp, a, b, ref.data());
+        for_each_simd_level([&](const char* leg) {
+            Tensor got = gemm::matmul_nt_prequant(gp, a, b);
+            EXPECT_EQ(first_bit_mismatch(got, ref), -1)
+                << fmt.name << " leg=" << leg;
+        });
+    }
+}
+
+TEST(GemmPlan, SimdFastPathProvesTheBlockExponentRange)
+{
+    for (const auto& fa : mx_formats())
+        for (const auto& fb : mx_formats())
+            EXPECT_TRUE(gemm::detail::simd_fast_path(gemm::make_gemm_plan(
+                make_quant_plan(fa), make_quant_plan(fb))))
+                << fa.name << " x " << fb.name;
+    // d1 = 9: Ea + Eb - exp_bias spans [-524, 498], inside [-1022, 1023].
+    // d1 = 10 and 11 can leave the normal double range, so they take the
+    // scalar tile kernel instead of a per-block check.
+    for (int d1 : {9, 10, 11}) {
+        const QuantPlan p = make_quant_plan(core::mx_custom(7, d1, 16, 1, 2));
+        EXPECT_EQ(gemm::detail::simd_fast_path(gemm::make_gemm_plan(p, p)),
+                  d1 == 9)
+            << "d1=" << d1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// An independent oracle: hw::DotProductPipeline, a separately written
+// bit-exact Figure 6 model with its own ingest quantizer.  One block
+// pair is one pipeline evaluation (exact at a wide f), and a multi-block
+// GEMM output is the ascending FP32 sum of its blocks' pipeline values.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** The pipeline's FP32 output for one k1 block of two rows; a ragged
+ *  block is zero-padded to k1 (zeros change neither the shared exponent
+ *  nor any sub-block's shift, and contribute no product). */
+float
+pipeline_block(const hw::DotProductPipeline& pipe, const float* x,
+               const float* y, std::size_t n)
+{
+    std::vector<float> xa(16, 0.0f), ya(16, 0.0f);
+    std::copy(x, x + n, xa.begin());
+    std::copy(y, y + n, ya.begin());
+    const hw::PipelineResult r = pipe.run(xa, ya);
+    EXPECT_EQ(r.truncated_bits, 0);
+    return static_cast<float>(r.value);
+}
+
+} // namespace
+
+TEST(PipelineOracle, SingleBlockGemmEqualsThePipelineBitForBit)
+{
+    stats::Rng rng(150);
+    for_each_simd_level([&](const char* leg) {
+        for (const auto& fmt : mx_formats()) {
+            const hw::DotProductPipeline pipe({fmt, 16, 52});
+            const QuantPlan plan = make_quant_plan(fmt);
+            for (const NamedGenerator& gen : kGenerators) {
+                const std::int64_t m = 3, n = 17, k = 16;
+                Tensor x = gen.make(m, k, rng);
+                Tensor y = gen.make(n, k, rng);
+                Tensor got = gemm::matmul_nt_packed2(x, plan, y, plan);
+                Tensor want({m, n});
+                for (std::int64_t i = 0; i < m; ++i)
+                    for (std::int64_t j = 0; j < n; ++j)
+                        want.data()[i * n + j] = pipeline_block(
+                            pipe, x.data() + i * k, y.data() + j * k, 16);
+                EXPECT_EQ(first_bit_mismatch(got, want), -1)
+                    << gen.name << " " << fmt.name << " leg=" << leg;
+            }
+        }
+    });
+}
+
+TEST(PipelineOracle, MultiBlockGemmEqualsTheAscendingSumOfPipelineBlocks)
+{
+    stats::Rng rng(151);
+    for_each_simd_level([&](const char* leg) {
+        for (const auto& fmt : mx_formats()) {
+            const hw::DotProductPipeline pipe({fmt, 16, 52});
+            const QuantPlan plan = make_quant_plan(fmt);
+            for (const NamedGenerator& gen : kGenerators) {
+                for (std::int64_t k : {64, 87, 1024}) {
+                    const std::int64_t m = 2, n = 17;
+                    Tensor x = gen.make(m, k, rng);
+                    Tensor y = gen.make(n, k, rng);
+                    Tensor got = gemm::matmul_nt_packed2(x, plan, y, plan);
+                    Tensor want({m, n});
+                    for (std::int64_t i = 0; i < m; ++i)
+                        for (std::int64_t j = 0; j < n; ++j) {
+                            float acc = 0.0f;
+                            for (std::int64_t c0 = 0; c0 < k; c0 += 16)
+                                acc += pipeline_block(
+                                    pipe, x.data() + i * k + c0,
+                                    y.data() + j * k + c0,
+                                    static_cast<std::size_t>(
+                                        std::min<std::int64_t>(16, k - c0)));
+                            want.data()[i * n + j] = acc;
+                        }
+                    EXPECT_EQ(first_bit_mismatch(got, want), -1)
+                        << gen.name << " " << fmt.name << " k=" << k
+                        << " leg=" << leg;
+                }
+            }
+        }
+    });
 }
 
 TEST(KernelDispatch, SimdLevelSelectsTheGemmKernel)
