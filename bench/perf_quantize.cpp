@@ -1,7 +1,8 @@
 /**
  * @file
  * Engineering microbenchmarks: throughput of the quantizers, the packed
- * codec, the hardware dot-product pipeline, and the quantized matmul.
+ * codec (including the packed GEMM's int16 operand view), the hardware
+ * dot-product pipeline, and the quantized matmul.
  * Uses the calibrated run_bench loop from bench_report.h and emits
  * BENCH_perf_quantize.json — the perf baseline that optimization PRs
  * are measured against.
@@ -15,6 +16,7 @@
 #include "core/quantize.h"
 #include "formats/block_codec.h"
 #include "formats/packed.h"
+#include "gemm/packed_operand.h"
 #include "hw/pipeline.h"
 #include "nn/quant.h"
 #include "stats/rng.h"
@@ -108,6 +110,43 @@ bm_unpack(const BdrFormat& fmt)
 }
 
 bench::BenchResult
+bm_operand_decode_rows(const BdrFormat& fmt)
+{
+    // The native K/V cache's per-step decode: byte-aligned packed rows
+    // of head_dim = 32 elements into the int16 execution view.
+    const std::size_t rows = 128, cols = 32;
+    auto x = make_data(rows * cols);
+    const auto plan = core::kernels::make_quant_plan(fmt);
+    Rounder rounder;
+    std::vector<std::uint8_t> stream;
+    gemm::pack_rows_aligned(plan, x.data(), rows, cols, rounder, stream);
+    return bench::run_bench(
+        [&] {
+            auto op = gemm::PackedOperand::decode_rows(plan, stream, rows,
+                                                       cols);
+            bench::do_not_optimize(op.row_mantissa(0));
+        },
+        x.size());
+}
+
+bench::BenchResult
+bm_operand_quantize(const BdrFormat& fmt)
+{
+    // The activation-side builder: floats straight into the view.
+    const std::size_t rows = 16, cols = 256;
+    auto x = make_data(rows * cols);
+    const auto plan = core::kernels::make_quant_plan(fmt);
+    Rounder rounder;
+    return bench::run_bench(
+        [&] {
+            auto op = gemm::PackedOperand::quantize(plan, x.data(), rows,
+                                                    cols, rounder);
+            bench::do_not_optimize(op.row_mantissa(0));
+        },
+        x.size());
+}
+
+bench::BenchResult
 bm_pipeline(const BdrFormat& fmt)
 {
     auto a = make_data(64), b = make_data(64);
@@ -181,6 +220,8 @@ main()
     row(report, "fused_quantize_pack_mx4", bm_fused_quantize_pack(mx4()));
     row(report, "unpack_mx9", bm_unpack(mx9()));
     row(report, "unpack_fp8_e4m3", bm_unpack(fp8_e4m3()));
+    row(report, "operand_decode_rows_mx9", bm_operand_decode_rows(mx9()));
+    row(report, "operand_quantize_mx9", bm_operand_quantize(mx9()));
 
     bench::banner("Dot-product pipeline (r = 64)");
     row(report, "pipeline_mx9", bm_pipeline(mx9()));

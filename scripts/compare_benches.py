@@ -16,8 +16,9 @@ snapshot and fails when
   - a bench whose baseline says "reproduced": true no longer reproduces;
   - a baseline bench or metric is missing from the current run.
 
-Metrics present only in the current run are reported as informational
-(new benches are added by PRs all the time).
+Benches and throughput metrics present only in the current run are
+reported as informational, never as regressions (new benches and
+metrics are added by PRs all the time).
 
 Usage:
   scripts/compare_benches.py --baseline bench/baselines \
@@ -158,6 +159,13 @@ def compare(
             # Other metrics (wall times, counts, cost ratios) are
             # informational only: they either have dedicated claim
             # checks in the bench itself or are environment-dependent.
+
+        for name in sorted(set(cur_metrics) - set(base_metrics)):
+            if is_throughput_metric(name):
+                notes.append(
+                    f"{bench}/{name}: {cur_metrics[name]['value']:.3e} "
+                    f"(new metric, no baseline yet)"
+                )
 
         for name, passed in sorted(check_map(base_report).items()):
             cur_checks = check_map(cur_report)

@@ -11,10 +11,14 @@
  * packing-efficiency numbers (Fig 7 x-axis) come from the exact same
  * field widths.
  *
- * Writes and reads move whole bytes at a time (at most 9 touches for a
- * 64-bit field instead of 64), which is what makes the fused
- * quantize+pack kernel path competitive with plain quantization; see
- * BENCH_perf_quantize.json's pack_* metrics.
+ * Writes move whole bytes at a time (at most 9 touches for a 64-bit
+ * field instead of 64).  Reads go through a 64-bit window refilled one
+ * little-endian word at a time, so a field costs a mask and a shift;
+ * only the stream's last 8 bytes are loaded byte by byte, which keeps
+ * every load inside the caller's span.  The window is what lets the
+ * packed operand decode (gemm/packed_operand.h) and the unpackers run
+ * at kernel speed; see BENCH_perf_quantize.json's unpack_* and
+ * operand_decode_* metrics.
  *
  * This header lives in core (not formats) so the kernel layer can emit
  * packed blocks without inverting the core -> formats dependency;
@@ -23,7 +27,9 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -93,7 +99,8 @@ class BitWriter
 /** Reads bit fields written by BitWriter, in the same order.  Holds a
  *  non-owning view: works equally over an owned byte vector or a
  *  read-only mapping (artifact/reader.h) — the caller keeps the bytes
- *  alive for the reader's lifetime. */
+ *  alive for the reader's lifetime.  Never loads a byte outside the
+ *  view. */
 class BitReader
 {
   public:
@@ -107,35 +114,122 @@ class BitReader
     {
     }
 
-    /** Read the next @p bits as an unsigned value. */
+    /** Read the next @p bits as an unsigned value; throws
+     *  mx::ArgumentError ("out of data") when fewer remain. */
     std::uint64_t
     read(int bits)
     {
-        MX_CHECK_ARG(bits >= 0 && bits <= 64, "BitReader: bad field width");
-        std::uint64_t v = 0;
-        int got = 0;
-        while (got < bits) {
-            const std::size_t byte = pos_ >> 3;
-            MX_CHECK_ARG(byte < size_, "BitReader: out of data");
-            const int off = static_cast<int>(pos_ & 7);
-            const int take = std::min(bits - got, 8 - off);
-            const std::uint32_t mask = (1u << take) - 1u;
-            const std::uint64_t chunk =
-                (static_cast<std::uint32_t>(data_[byte]) >> off) & mask;
-            v |= chunk << got;
-            got += take;
-            pos_ += static_cast<std::size_t>(take);
+        // The hot path carries no message building, so it inlines into
+        // the decode loops; widths outside [0, 56] and a short stream
+        // take the out-of-line paths below.
+        if (static_cast<unsigned>(bits) > kMaxFast)
+            return read_wide(bits);
+        if (avail_ < bits) {
+            refill();
+            if (avail_ < bits)
+                out_of_data(bits);
         }
+        const std::uint64_t v = window_ & ((std::uint64_t{1} << bits) - 1);
+        window_ >>= bits;
+        avail_ -= bits;
         return v;
     }
 
+    /**
+     * Read @p count consecutive @p bits-wide fields (bits in [0, 64]),
+     * handing each to @p sink(i, value) in order — the bulk form of
+     * read() behind the block decoders.  The window stays in locals
+     * across the run, so a field costs a compare, a mask and a shift.
+     */
+    template <typename Sink>
+    void
+    read_run(int bits, std::size_t count, Sink&& sink)
+    {
+        if (static_cast<unsigned>(bits) > kMaxFast) {
+            for (std::size_t i = 0; i < count; ++i)
+                sink(i, read(bits));
+            return;
+        }
+        const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+        std::uint64_t window = window_;
+        int avail = avail_;
+        for (std::size_t i = 0; i < count; ++i) {
+            if (avail < bits) {
+                window_ = window;
+                avail_ = avail;
+                refill();
+                if (avail_ < bits)
+                    out_of_data(bits);
+                window = window_;
+                avail = avail_;
+            }
+            sink(i, window & mask);
+            window >>= bits;
+            avail -= bits;
+        }
+        window_ = window;
+        avail_ = avail;
+    }
+
     /** Bits consumed so far. */
-    std::size_t bit_position() const { return pos_; }
+    std::size_t
+    bit_position() const
+    {
+        return next_ * 8 - static_cast<std::size_t>(avail_);
+    }
 
   private:
+    /** Widest field one refill is guaranteed to cover. */
+    static constexpr int kMaxFast = 56;
+
+    /** Fields wider than one refill covers (and bad widths). */
+    [[gnu::noinline]] std::uint64_t
+    read_wide(int bits)
+    {
+        MX_CHECK_ARG(bits >= 0 && bits <= 64, "BitReader: bad field width");
+        const std::uint64_t lo = read(32);
+        return lo | (read(bits - 32) << 32);
+    }
+
+    [[noreturn, gnu::noinline, gnu::cold]] void
+    out_of_data(int bits) const
+    {
+        MX_CHECK_ARG(avail_ >= bits, "BitReader: out of data");
+        throw InternalError("BitReader: unreachable");
+    }
+
+    /** Top the window up to at least 56 bits (fewer only at the end of
+     *  the stream).  Bits above avail_ may already hold the next
+     *  bytes from an earlier word load; OR-ing the same bytes back in
+     *  at the same positions leaves them unchanged. */
+    void
+    refill()
+    {
+        if (size_ - next_ >= 8) {
+            std::uint64_t word = 0;
+            if constexpr (std::endian::native == std::endian::little) {
+                std::memcpy(&word, data_ + next_, sizeof(word));
+            } else {
+                for (int i = 0; i < 8; ++i)
+                    word |= static_cast<std::uint64_t>(data_[next_ + i])
+                            << (8 * i);
+            }
+            window_ |= word << avail_;
+            next_ += static_cast<std::size_t>((63 - avail_) >> 3);
+            avail_ |= 56;
+            return;
+        }
+        while (avail_ <= 56 && next_ < size_) {
+            window_ |= static_cast<std::uint64_t>(data_[next_++]) << avail_;
+            avail_ += 8;
+        }
+    }
+
     const std::uint8_t* data_;
     std::size_t size_;
-    std::size_t pos_ = 0;
+    std::size_t next_ = 0;     ///< First byte not yet in the window.
+    std::uint64_t window_ = 0; ///< Unread bits, next bit at bit 0.
+    int avail_ = 0;            ///< Valid bits in window_.
 };
 
 } // namespace core

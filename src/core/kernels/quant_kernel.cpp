@@ -83,10 +83,19 @@ make_quant_plan(const BdrFormat& fmt)
     return p;
 }
 
+namespace {
+
+/**
+ * The reference block quantizer behind reference_quantize_block and
+ * reference_encode_block.  kGrid writes the dequantized floats to
+ * @p out; Mant is the mantissa type (narrowed from int32 exactly as a
+ * static_cast of the int32 encoding would be).
+ */
+template <bool kGrid, typename Mant>
 int
-reference_quantize_block(const QuantPlan& plan, const float* in,
-                         std::size_t n, float* out, const Rounder& rounder,
-                         std::uint8_t* tau_out, std::int32_t* mant_out)
+quantize_block_impl(const QuantPlan& plan, const float* in, std::size_t n,
+                    float* out, const Rounder& rounder,
+                    std::uint8_t* tau_out, Mant* mant_out)
 {
     MX_CHECK_ARG(n <= static_cast<std::size_t>(plan.k1),
                  "quantize_block: block larger than k1");
@@ -95,12 +104,13 @@ reference_quantize_block(const QuantPlan& plan, const float* in,
 
     const int raw_e = span_exponent(in, n);
     if (raw_e == kZeroExp) {
-        std::fill(out, out + n, 0.0f);
+        if constexpr (kGrid)
+            std::fill(out, out + n, 0.0f);
         if (tau_out)
             std::fill(tau_out, tau_out + n_sub,
                       static_cast<std::uint8_t>(plan.beta));
         if (mant_out)
-            std::fill(mant_out, mant_out + n, 0);
+            std::fill(mant_out, mant_out + n, Mant{0});
         return plan.e_min;
     }
     const int shared_e = std::clamp(raw_e, plan.e_min, plan.e_max);
@@ -124,14 +134,37 @@ reference_quantize_block(const QuantPlan& plan, const float* in,
             const double a = std::fabs(static_cast<double>(in[i]));
             double q = rounder.round(a * inv_step);
             q = std::min(q, plan.mant_max_d); // hardware saturation
-            const double deq = q * step;
             const bool neg = std::signbit(in[i]);
-            out[i] = static_cast<float>(neg ? -deq : deq);
+            if constexpr (kGrid) {
+                const double deq = q * step;
+                out[i] = static_cast<float>(neg ? -deq : deq);
+            }
             if (mant_out)
-                mant_out[i] = static_cast<std::int32_t>(neg ? -q : q);
+                mant_out[i] = static_cast<Mant>(
+                    static_cast<std::int32_t>(neg ? -q : q));
         }
     }
     return shared_e;
+}
+
+} // namespace
+
+int
+reference_quantize_block(const QuantPlan& plan, const float* in,
+                         std::size_t n, float* out, const Rounder& rounder,
+                         std::uint8_t* tau_out, std::int32_t* mant_out)
+{
+    return quantize_block_impl<true>(plan, in, n, out, rounder, tau_out,
+                                     mant_out);
+}
+
+int
+reference_encode_block(const QuantPlan& plan, const float* in, std::size_t n,
+                       const Rounder& rounder, std::uint8_t* tau_out,
+                       std::int16_t* mant_out)
+{
+    return quantize_block_impl<false>(plan, in, n, nullptr, rounder,
+                                      tau_out, mant_out);
 }
 
 void

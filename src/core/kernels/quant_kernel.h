@@ -10,7 +10,8 @@
  * QuantKernel is the execute side: an implementation provides contiguous
  * quantize (fake quantization of a whole span), per-block quantize with
  * integer encoding output, fused quantize+pack straight into an LSB-first
- * bit stream, and block dequantize.
+ * bit stream, quantize straight into the packed GEMM's int16 execution
+ * view, and block dequantize.
  *
  * Implementations:
  *  - scalar_kernel(): the portable reference, numerically identical to
@@ -24,6 +25,7 @@
  * overridable with MX_FORCE_SCALAR=1).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -33,6 +35,7 @@
 
 #include "core/bdr_format.h"
 #include "core/bitstream.h"
+#include "core/check.h"
 #include "core/rounding.h"
 
 namespace mx {
@@ -107,6 +110,15 @@ int reference_quantize_block(const QuantPlan& plan, const float* in,
                              std::uint8_t* tau_out, std::int32_t* mant_out);
 
 /**
+ * reference_quantize_block's encoding alone, with the mantissas
+ * narrowed to int16 (the packed-GEMM execution view) and no dequantized
+ * floats written.  Same values, same RNG draws.
+ */
+int reference_encode_block(const QuantPlan& plan, const float* in,
+                           std::size_t n, const Rounder& rounder,
+                           std::uint8_t* tau_out, std::int16_t* mant_out);
+
+/**
  * Reference block dequantization: @p mant / @p taus / @p shared_exp as
  * produced by reference_quantize_block, written back as floats.
  */
@@ -154,6 +166,23 @@ class QuantKernel
                                std::span<const float> in,
                                const Rounder& rounder,
                                BitWriter& writer) const = 0;
+
+    /**
+     * Quantize a row-major [rows x cols] matrix (no block straddles a
+     * row) straight into the integer execution view: @p mant receives
+     * rows * cols int16 mantissas, @p tau rows * num_sub_blocks(cols)
+     * sub-shifts and @p exp rows * ceil(cols / k1) shared exponents,
+     * all row-major.  The encodings and the RNG draw order are those of
+     * quantize_block over each row's blocks in turn; no dequantized
+     * float, heap encoding or int32 mantissa is written.  Throws
+     * mx::ArgumentError unless m <= 15 (int16 mantissas).
+     */
+    virtual void quantize_encode_rows(const QuantPlan& plan,
+                                      const float* in, std::size_t rows,
+                                      std::size_t cols,
+                                      const Rounder& rounder,
+                                      std::int16_t* mant, std::uint8_t* tau,
+                                      std::int16_t* exp) const = 0;
 
     /** Dequantize one encoded block into @p out (size = mantissa count). */
     virtual void dequantize_block(const QuantPlan& plan,
@@ -224,6 +253,61 @@ write_block_bits(const QuantPlan& plan, int shared_exp,
         const std::uint64_t mag =
             static_cast<std::uint64_t>(man < 0 ? -man : man);
         w.write(sign | (mag << 1), 1 + plan.m);
+    }
+}
+
+/**
+ * Read one block's fields back from the packed stream — the inverse of
+ * write_block_bits, shared by every decoder (formats::unpack, the
+ * frozen-weight grid rebuild, gemm::PackedOperand::decode) so they
+ * cannot drift apart.  Fills num_sub_blocks(n) sub-shifts (zeros when
+ * d2 == 0) and n two's-complement mantissas (the sign|magnitude code
+ * converts without a branch: (mag ^ -s) + s).
+ *
+ * @return the unbiased shared exponent.
+ */
+template <typename Mant>
+int
+read_block_bits(const QuantPlan& plan, BitReader& r, std::size_t n,
+                std::uint8_t* taus, Mant* mant)
+{
+    const int shared_exp = static_cast<int>(r.read(plan.d1)) - plan.e_max;
+    r.read_run(plan.d2, plan.num_sub_blocks(n),
+               [taus](std::size_t s, std::uint64_t t) {
+                   taus[s] = static_cast<std::uint8_t>(t);
+               });
+    r.read_run(1 + plan.m, n, [mant](std::size_t i, std::uint64_t code) {
+        const auto c = static_cast<std::uint32_t>(code);
+        const std::uint32_t sign = c & 1u;
+        mant[i] = static_cast<Mant>(
+            static_cast<std::int32_t>(((c >> 1) ^ (0u - sign)) + sign));
+    });
+    return shared_exp;
+}
+
+/**
+ * The row/block walk behind every quantize_encode_rows: calls
+ * @p block(x, n, tau, mant) for each row's k1-blocks in order (the
+ * last may be a short tail) and stores the shared exponent it returns.
+ */
+template <typename BlockFn>
+void
+encode_rows_blockwise(const QuantPlan& plan, const float* in,
+                      std::size_t rows, std::size_t cols, std::int16_t* mant,
+                      std::uint8_t* tau, std::int16_t* exp, BlockFn&& block)
+{
+    MX_CHECK_ARG(plan.m <= 15, "quantize_encode_rows: mantissa too wide "
+                               "for int16 (m=" << plan.m << ")");
+    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t off = 0; off < cols; off += k1) {
+            const std::size_t n = std::min(k1, cols - off);
+            *exp++ = static_cast<std::int16_t>(
+                block(in + off, n, tau, mant + off));
+            tau += plan.num_sub_blocks(n);
+        }
+        in += cols;
+        mant += cols;
     }
 }
 

@@ -91,6 +91,20 @@ class ScalarKernel final : public QuantKernel
     }
 
     void
+    quantize_encode_rows(const QuantPlan& plan, const float* in,
+                         std::size_t rows, std::size_t cols,
+                         const Rounder& rounder, std::int16_t* mant,
+                         std::uint8_t* tau, std::int16_t* exp) const override
+    {
+        detail::encode_rows_blockwise(
+            plan, in, rows, cols, mant, tau, exp,
+            [&](const float* x, std::size_t n, std::uint8_t* t,
+                std::int16_t* m) {
+                return reference_encode_block(plan, x, n, rounder, t, m);
+            });
+    }
+
+    void
     dequantize_block(const QuantPlan& plan, const Pow2BlockEncoding& enc,
                      std::span<float> out) const override
     {

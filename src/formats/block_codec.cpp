@@ -49,25 +49,14 @@ unpack_pow2(const BdrFormat& fmt, std::size_t n, BitReader& r,
     const core::kernels::QuantPlan plan = core::kernels::make_quant_plan(fmt);
     const core::kernels::QuantKernel& kernel = core::kernels::active_kernel();
     const std::size_t k1 = static_cast<std::size_t>(fmt.k1);
-    const int exp_bias = plan.e_max;
     out.resize(n);
-    Pow2BlockEncoding enc; // reused across blocks (assign keeps capacity)
+    Pow2BlockEncoding enc; // reused across blocks (resize keeps capacity)
     for (std::size_t off = 0; off < n; off += k1) {
         const std::size_t len = std::min(k1, n - off);
-        enc.shared_exp = static_cast<int>(r.read(fmt.d1)) - exp_bias;
-        const std::size_t n_sub = plan.num_sub_blocks(len);
-        enc.sub_shift.assign(n_sub, 0);
-        for (std::size_t s = 0; s < n_sub; ++s)
-            enc.sub_shift[s] = fmt.d2 > 0
-                ? static_cast<std::uint8_t>(r.read(fmt.d2))
-                : 0;
-        enc.mantissa.assign(len, 0);
-        for (std::size_t i = 0; i < len; ++i) {
-            const std::uint64_t code = r.read(1 + fmt.m);
-            const bool neg = (code & 1) != 0;
-            const std::int32_t mag = static_cast<std::int32_t>(code >> 1);
-            enc.mantissa[i] = neg ? -mag : mag;
-        }
+        enc.sub_shift.resize(plan.num_sub_blocks(len));
+        enc.mantissa.resize(len);
+        enc.shared_exp = core::kernels::detail::read_block_bits(
+            plan, r, len, enc.sub_shift.data(), enc.mantissa.data());
         kernel.dequantize_block(plan, enc,
                                 std::span<float>(out.data() + off, len));
     }

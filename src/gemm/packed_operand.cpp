@@ -86,27 +86,18 @@ PackedOperand::memory_bytes() const
 
 namespace {
 
-/** Decode one row's blocks from @p reader into row @p r of the view. */
+/** Decode one row's blocks from @p reader into the view's row arrays. */
 void
 decode_row(const QuantPlan& plan, core::BitReader& reader, std::size_t cols,
            std::int16_t* mant, std::uint8_t* tau, std::int16_t* exp)
 {
     const std::size_t k1 = static_cast<std::size_t>(plan.k1);
-    std::size_t sub = 0;
     for (std::size_t off = 0; off < cols; off += k1) {
         const std::size_t n = std::min(k1, cols - off);
-        *exp++ = static_cast<std::int16_t>(
-            static_cast<int>(reader.read(plan.d1)) - plan.e_max);
-        const std::size_t n_sub = plan.num_sub_blocks(n);
-        for (std::size_t s = 0; s < n_sub; ++s)
-            tau[sub++] = static_cast<std::uint8_t>(reader.read(plan.d2));
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t code = reader.read(1 + plan.m);
-            const std::int16_t mag = static_cast<std::int16_t>(code >> 1);
-            mant[off + i] = (code & 1) != 0
-                                ? static_cast<std::int16_t>(-mag)
-                                : mag;
-        }
+        const int e = core::kernels::detail::read_block_bits(
+            plan, reader, n, tau, mant + off);
+        *exp++ = static_cast<std::int16_t>(e);
+        tau += plan.num_sub_blocks(n);
     }
 }
 
@@ -140,8 +131,11 @@ PackedOperand::decode_rows(const QuantPlan& plan,
                  "PackedOperand::decode_rows: stream holds "
                      << bytes.size() << " bytes, [" << rows << " x " << cols
                      << "] needs " << rows * stride);
+    // Each row's reader spans the rest of the stream, not just its
+    // stride, so only the final row refills from its last 8 bytes one
+    // byte at a time; the size check above keeps every row in bounds.
     for (std::size_t r = 0; r < rows; ++r) {
-        core::BitReader reader(bytes.subspan(r * stride, stride));
+        core::BitReader reader(bytes.subspan(r * stride));
         decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
                    op.tau_.data() + r * op.subs_per_row_,
                    op.exp_.data() + r * op.blocks_per_row_);
@@ -155,29 +149,9 @@ PackedOperand::quantize(const QuantPlan& plan, const float* x,
                         const core::Rounder& rounder)
 {
     PackedOperand op(plan, rows, cols);
-    const core::kernels::QuantKernel& kernel =
-        core::kernels::active_kernel();
-    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
-    std::vector<float> grid(k1); // dequantized scratch (discarded)
-    core::Pow2BlockEncoding enc; // reused; assign keeps capacity
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::int16_t* mant = op.mantissa_.data() + r * cols;
-        std::uint8_t* tau = op.tau_.data() + r * op.subs_per_row_;
-        std::int16_t* exp = op.exp_.data() + r * op.blocks_per_row_;
-        std::size_t sub = 0;
-        for (std::size_t off = 0; off < cols; off += k1) {
-            const std::size_t n = std::min(k1, cols - off);
-            kernel.quantize_block(
-                plan, std::span<const float>(x + r * cols + off, n),
-                std::span<float>(grid.data(), n), rounder, &enc);
-            *exp++ = static_cast<std::int16_t>(enc.shared_exp);
-            for (std::uint8_t t : enc.sub_shift)
-                tau[sub++] = t;
-            for (std::size_t i = 0; i < n; ++i)
-                mant[off + i] =
-                    static_cast<std::int16_t>(enc.mantissa[i]);
-        }
-    }
+    core::kernels::active_kernel().quantize_encode_rows(
+        plan, x, rows, cols, rounder, op.mantissa_.data(), op.tau_.data(),
+        op.exp_.data());
     return op;
 }
 

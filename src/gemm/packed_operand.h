@@ -13,12 +13,18 @@
  * what lets the packed GEMM run without ever materializing an FP32
  * copy of the operand.
  *
- * Two builders cover both GEMM operands:
- *  - decode():   bit stream -> view (weights, built once at freeze);
- *  - quantize(): floats -> view through the dispatched QuantKernel
- *                (activations, built per call — the same quantization
- *                the fake-quant path applies, captured as encodings
- *                instead of being rounded back to floats).
+ * Two builders cover both GEMM operands, and both run at kernel speed:
+ *  - decode() / decode_rows(): bit stream -> view (weights at freeze
+ *                and load, the native K/V cache every decode step).
+ *                Fields come off core::BitReader's 64-bit window via
+ *                core::kernels::detail::read_block_bits, the same
+ *                block reader formats::unpack uses;
+ *  - quantize(): floats -> view through the dispatched QuantKernel's
+ *                quantize_encode_rows (activations, built per call —
+ *                the same quantization the fake-quant path applies,
+ *                written straight into the view's int16 mantissas,
+ *                shifts and exponents: no FP32 grid, no per-block heap
+ *                encoding, no int32 -> int16 copy).
  *
  * Rows are independent: blocks never straddle a row boundary (the
  * nn::quantize_rows contract), every row occupies the same number of
@@ -47,8 +53,10 @@ class PackedOperand
      * Decode a packed pow2-block stream (the exact
      * formats/block_codec.h layout quantize_pack_rows emits) into the
      * execution view.  @p bytes must hold rows * row_bits(plan, cols)
-     * bits.  The span is only read during the call — a view into a
-     * read-only artifact mapping works (the operand owns its arrays).
+     * bits (checked up front; mx::ArgumentError otherwise), and no
+     * byte outside it is read.  The span is only read during the call —
+     * a view into a read-only artifact mapping works (the operand owns
+     * its arrays).
      */
     static PackedOperand decode(const core::kernels::QuantPlan& plan,
                                 std::span<const std::uint8_t> bytes,
@@ -60,7 +68,8 @@ class PackedOperand
      * each row zero-padded (the pack_rows_aligned layout).  This is the
      * storage form of the native MX K/V cache — byte alignment is what
      * makes per-token append a memcpy and prefix truncation a resize,
-     * at a cost of at most 7 pad bits per row.
+     * at a cost of at most 7 pad bits per row.  @p bytes must hold
+     * rows * row_stream_bytes(plan, cols) bytes (checked up front).
      */
     static PackedOperand decode_rows(const core::kernels::QuantPlan& plan,
                                      std::span<const std::uint8_t> bytes,
@@ -68,9 +77,11 @@ class PackedOperand
 
     /**
      * Quantize a float matrix straight into the execution view through
-     * the dispatched QuantKernel — the activation-side builder.  The
-     * integer encodings are identical to what quantize_rows would
-     * produce before its final dequantize-to-grid step.
+     * the dispatched QuantKernel — the activation-side builder, one
+     * quantize_encode_rows call.  The integer encodings are identical
+     * to what quantize_rows would produce before its final
+     * dequantize-to-grid step, and stochastic rounding draws in the
+     * same order.
      */
     static PackedOperand quantize(const core::kernels::QuantPlan& plan,
                                   const float* x, std::size_t rows,

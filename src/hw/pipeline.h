@@ -16,7 +16,11 @@
  *   4. blocks are normalized to the largest block result and reduced in
  *      f-bit fixed point — bits shifted below the f-bit window are
  *      truncated, which is the pipeline's only inexactness;
- *   5. FP32 convert / accumulate.
+ *   5. FP32 convert / accumulate.  The model stops one step short of
+ *      it: run() returns the exact fixed-point sum as a double
+ *      (double(sum) * 2^grid, no float rounding), and a caller that
+ *      compares against FP32 hardware rounds it to float itself, as
+ *      the PipelineOracle suites in tests/test_gemm.cpp do.
  *
  * Setting k1 = k2 = 1 degenerates to a scalar floating-point unit and
  * d2 = 0 to classic block floating point, as in the paper.  The test
@@ -49,7 +53,9 @@ struct PipelineConfig
 /** Result of one pipeline evaluation, with observability for tests. */
 struct PipelineResult
 {
-    /** The pipeline's FP32 output. */
+    /** The pipeline's output before the FP32 convert: the f-bit
+     *  fixed-point sum as a double, with no float rounding (round it
+     *  to float to get what FP32 hardware produces). */
     double value = 0;
     /** Exact dot product of the dequantized (quantized-grid) inputs. */
     double exact_quantized_dot = 0;
@@ -76,7 +82,7 @@ class DotProductPipeline
     PipelineResult run(std::span<const float> a,
                        std::span<const float> b) const;
 
-    /** Convenience: just the FP32 output. */
+    /** Convenience: just run().value (not yet rounded to float). */
     double dot(std::span<const float> a, std::span<const float> b) const;
 
     /** The configuration. */

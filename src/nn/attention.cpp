@@ -425,11 +425,18 @@ MultiHeadAttention::decode_step(const Tensor& x,
         // completes; the step's new slabs drop their raw rows.
         const std::int64_t committed =
             static_cast<std::int64_t>(cache.v_slabs.size()) - st.slabs_old;
-        if (cache.native && committed > 0) {
-            cache.v_tail.erase(cache.v_tail.begin(),
-                               cache.v_tail.begin() +
-                                   committed * cache.plan.k1 * d_model_);
-            cache.v_tail.shrink_to_fit();
+        if (cache.native) {
+            const std::int64_t k1 = cache.plan.k1;
+            if (committed > 0)
+                cache.v_tail.erase(cache.v_tail.begin(),
+                                   cache.v_tail.begin() +
+                                       committed * k1 * d_model_);
+            // Warm s = 1 steps keep their k1 + 1 rows of room; a longer
+            // step (a prompt) gives back the rest, so a cached session
+            // holds no prompt-sized tail.
+            if (cache.v_tail.capacity() >
+                static_cast<std::size_t>((k1 + 1) * d_model_))
+                cache.v_tail.shrink_to_fit();
         }
         cache.prefix = st.p + st.s;
     }
@@ -534,10 +541,11 @@ MultiHeadAttention::begin_step(const DecodeRows& rows, const Tensor& k,
     st.slabs_old = static_cast<std::int64_t>(cache.v_slabs.size());
 
     // Raw V rows for every key past the last committed slab: the old
-    // tail plus this step's keys, covering [k1 * slabs_old, n).
-    // Exact growth keeps the resident tail as small as the old one.
-    cache.v_tail.reserve(cache.v_tail.size() +
-                         static_cast<std::size_t>(s * d_model_));
+    // tail plus this step's keys, covering [k1 * slabs_old, n).  The
+    // old tail holds fewer than k1 rows, so room for k1 + s rows always
+    // suffices: warm s = 1 steps reserve once and never reallocate
+    // (commits erase rows but keep that room).
+    cache.v_tail.reserve(static_cast<std::size_t>((k1 + s) * d_model_));
     cache.v_tail.insert(cache.v_tail.end(), v_new, v_new + s * d_model_);
 
     const std::size_t kstride = gemm::row_stream_bytes(

@@ -62,6 +62,9 @@ struct AttnPrefixCache
     std::vector<std::vector<std::uint8_t>> v_slabs;
     /// Raw FP32 V rows [prefix - k1 * v_slabs.size(), d_model] of the
     /// still-open tail block (completed slabs drop their raw floats).
+    /// Its capacity stays at k1 + 1 rows across warm s = 1 steps, so
+    /// they append without reallocating (a longer step's extra room
+    /// is released after it); memory_bytes() counts the rows held.
     std::vector<float> v_tail;
 
     /**

@@ -58,27 +58,17 @@ unpack_rows_pow2(std::span<const std::uint8_t> bytes,
         core::kernels::active_kernel();
     const std::size_t k1 = static_cast<std::size_t>(plan.k1);
     core::BitReader reader(bytes);
-    core::Pow2BlockEncoding enc; // reused; assign keeps capacity
+    core::Pow2BlockEncoding enc; // reused; resize keeps capacity
     for (std::int64_t r = 0; r < rows; ++r) {
         float* row = out.data() + r * cols;
         const std::size_t n = static_cast<std::size_t>(cols);
         for (std::size_t off = 0; off < n; off += k1) {
             const std::size_t len = std::min(k1, n - off);
-            enc.shared_exp =
-                static_cast<int>(reader.read(plan.d1)) - plan.e_max;
-            const std::size_t n_sub = plan.num_sub_blocks(len);
-            enc.sub_shift.assign(n_sub, 0);
-            for (std::size_t s = 0; s < n_sub; ++s)
-                enc.sub_shift[s] = plan.d2 > 0
-                    ? static_cast<std::uint8_t>(reader.read(plan.d2))
-                    : 0;
-            enc.mantissa.assign(len, 0);
-            for (std::size_t i = 0; i < len; ++i) {
-                const std::uint64_t code = reader.read(1 + plan.m);
-                const std::int32_t mag =
-                    static_cast<std::int32_t>(code >> 1);
-                enc.mantissa[i] = (code & 1) != 0 ? -mag : mag;
-            }
+            enc.sub_shift.resize(plan.num_sub_blocks(len));
+            enc.mantissa.resize(len);
+            enc.shared_exp = core::kernels::detail::read_block_bits(
+                plan, reader, len, enc.sub_shift.data(),
+                enc.mantissa.data());
             kernel.dequantize_block(plan, enc,
                                     std::span<float>(row + off, len));
         }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fuzz harness for the two untrusted-bytes decoders:
+ * Fuzz harness for the untrusted-bytes decoders:
  *
  *   leg 0: artifact::ArtifactReader — the open path.  The contract
  *          under test is reader.h's eager validation: ANY byte string
@@ -10,9 +10,16 @@
  *   leg 1: core::BitReader — LSB-first field extraction.  Contract:
  *          any read schedule either yields values or throws
  *          ArgumentError ("out of data"/"bad field width"); no OOB.
+ *   leg 2: gemm::PackedOperand::decode / decode_rows — the windowed
+ *          stream decoder.  Five selector bytes pick a pow2 format, a
+ *          shape and the row layout; the rest is the stream, copied
+ *          into an exactly sized buffer.  Contract: each call equals
+ *          the field-by-field oracle (tests/codec_oracle.h) or throws
+ *          ArgumentError exactly when the oracle runs out of data; no
+ *          OOB.  A mismatch aborts.
  *
- * The first input byte selects the leg; the rest is the payload, so
- * one corpus (seeded from tests/data/) drives both.
+ * The first input byte selects the leg (mod 3); the rest is the
+ * payload, so one corpus (seeded from tests/data/) drives every leg.
  *
  * Built two ways by tests/fuzz/CMakeLists.txt:
  *   * Clang: -fsanitize=fuzzer, libFuzzer provides main() — the real
@@ -25,13 +32,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "artifact/format.h"
 #include "artifact/reader.h"
+#include "core/bdr_format.h"
 #include "core/bitstream.h"
 #include "core/check.h"
+#include "gemm/packed_operand.h"
+
+#include "../codec_oracle.h"
 
 namespace {
 
@@ -94,6 +106,66 @@ fuzz_bit_reader(const std::uint8_t* data, std::size_t size)
     (void)sink;
 }
 
+/** The formats leg 2 draws from: the MX family, plain BFP, and custom
+ *  shapes covering every k2 and d2 width, odd mantissa widths (fields
+ *  that straddle bytes) and the d1 extremes. */
+const std::vector<mx::core::kernels::QuantPlan>&
+decode_plans()
+{
+    static const std::vector<mx::core::kernels::QuantPlan> plans = [] {
+        using namespace mx::core;
+        std::vector<kernels::QuantPlan> p;
+        for (const BdrFormat& f :
+             {mx9(), mx6(), mx4(), msfp16(), msfp12(),
+              mx_custom(3, 8, 32, 2, 4), mx_custom(10, 8, 128, 3, 8),
+              mx_custom(5, 11, 16, 4, 16), mx_custom(1, 1, 8, 1, 1),
+              mx_custom(15, 8, 64, 2, 2), bfp_custom(6, 5, 24)})
+            p.push_back(kernels::make_quant_plan(f));
+        return p;
+    }();
+    return plans;
+}
+
+void
+fuzz_operand_decode(const std::uint8_t* data, std::size_t size)
+{
+    if (size < 5)
+        return;
+    const auto& plans = decode_plans();
+    const mx::core::kernels::QuantPlan& plan = plans[data[0] % plans.size()];
+    const std::size_t rows = 1 + data[1] % 8;
+    const std::size_t cols =
+        1 + (static_cast<std::size_t>(data[2]) |
+             static_cast<std::size_t>(data[3] & 1) << 8);
+    const bool aligned_rows = (data[4] & 1) != 0;
+    // Exactly sized: a read one byte past the stream is an OOB access.
+    const std::vector<std::uint8_t> stream(data + 5, data + size);
+
+    mx::test::OracleView ref;
+    const bool oracle_ok = mx::test::oracle_decode(plan, stream, rows, cols,
+                                                   aligned_rows, ref);
+    try {
+        const mx::gemm::PackedOperand op =
+            aligned_rows
+                ? mx::gemm::PackedOperand::decode_rows(plan, stream, rows,
+                                                       cols)
+                : mx::gemm::PackedOperand::decode(plan, stream, rows, cols);
+        const std::string diff = mx::test::first_mismatch(op, ref);
+        if (!oracle_ok || !diff.empty()) {
+            std::fprintf(stderr, "fuzz_mx: decode disagrees with the "
+                                 "oracle: %s\n",
+                         oracle_ok ? diff.c_str() : "oracle ran out");
+            std::abort();
+        }
+    } catch (const mx::ArgumentError&) {
+        if (oracle_ok) {
+            std::fprintf(stderr, "fuzz_mx: decode threw on a stream the "
+                                 "oracle reads\n");
+            std::abort();
+        }
+    }
+}
+
 } // namespace
 
 extern "C" int
@@ -101,10 +173,17 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     if (size == 0)
         return 0;
-    if ((data[0] & 1) == 0)
+    switch (data[0] % 3) {
+      case 0:
         fuzz_artifact_open(data + 1, size - 1);
-    else
+        break;
+      case 1:
         fuzz_bit_reader(data + 1, size - 1);
+        break;
+      default:
+        fuzz_operand_decode(data + 1, size - 1);
+        break;
+    }
     return 0;
 }
 
@@ -127,9 +206,10 @@ replay_file(const std::string& path)
     std::vector<std::uint8_t> bytes(
         (std::istreambuf_iterator<char>(in)),
         std::istreambuf_iterator<char>());
-    // Replay under both legs regardless of the selector byte so a
-    // seed corpus of real artifacts exercises the BitReader too.
-    for (std::uint8_t selector : {std::uint8_t{0}, std::uint8_t{1}}) {
+    // Replay under every leg regardless of the selector byte so a
+    // seed corpus of real artifacts exercises the decoders too.
+    for (std::uint8_t selector :
+         {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}}) {
         std::vector<std::uint8_t> input;
         input.reserve(bytes.size() + 1);
         input.push_back(selector);

@@ -11,6 +11,10 @@
  *    spreads (the AVX-512 suite auto-skips where the host lacks the
  *    ISA), and every entry point bit-identical across MX_GEMM_THREADS
  *    lane counts on tile-crossing shapes;
+ *  - PackedOperand::decode / decode_rows equal a field-by-field,
+ *    byte-at-a-time oracle (codec_oracle.h) on random streams of every
+ *    pow2 format with a gemm view, every exponent code, and ragged,
+ *    bit-contiguous and truncated streams;
  *  - packed execution agrees with the dequantized reference matmul to
  *    FP32-accumulation tolerance, and QSNR vs the FP32 oracle clears
  *    the pinned per-format floor;
@@ -41,7 +45,10 @@
 #include "nn/quant.h"
 #include "obs/obs.h"
 #include "stats/rng.h"
+#include "sweep/design_space.h"
 #include "tensor/tensor.h"
+
+#include "codec_oracle.h"
 
 using namespace mx;
 using core::kernels::QuantPlan;
@@ -834,6 +841,157 @@ TEST(PackedOperand, AlignedRowPackWritesInPlaceWhenCapacitySuffices)
     ASSERT_EQ(reused.size(), 1 + fresh.size());
     EXPECT_EQ(reused[0], 0xAB);
     EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), reused.begin() + 1));
+}
+
+// ---------------------------------------------------------------------------
+// The stream decoder against an independent oracle: decode / decode_rows
+// must read exactly what a field-by-field, byte-at-a-time reader reads
+// (tests/codec_oracle.h), for every pow2 format with a gemm view.
+// Random bytes reach every field value a stream can hold, including
+// sign|magnitude codes no quantizer emits (negative zero).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<std::uint8_t>
+random_bytes(std::size_t n, stats::Rng& rng)
+{
+    std::vector<std::uint8_t> bytes(n);
+    for (std::uint8_t& b : bytes)
+        b = static_cast<std::uint8_t>(rng.next_u64());
+    return bytes;
+}
+
+/** Decode @p bytes both ways the view can be built and compare each with
+ *  the oracle; returns the number of non-byte-aligned row starts seen. */
+std::size_t
+expect_decodes_match_oracle(const QuantPlan& plan, std::size_t rows,
+                            std::size_t cols, stats::Rng& rng,
+                            const std::string& what)
+{
+    const std::size_t bits = test::oracle_row_bits(plan, cols);
+    EXPECT_EQ(gemm::row_bits(plan, cols), bits) << what;
+    test::OracleView ref;
+
+    // Bit-contiguous rows: row r starts at bit r * bits.  The stream is
+    // sized exactly, so a read past it is an out-of-bounds access.
+    const std::vector<std::uint8_t> flat =
+        random_bytes((rows * bits + 7) / 8, rng);
+    EXPECT_TRUE(test::oracle_decode(plan, flat, rows, cols, false, ref));
+    const gemm::PackedOperand op =
+        gemm::PackedOperand::decode(plan, flat, rows, cols);
+    EXPECT_EQ(test::first_mismatch(op, ref), "") << what << " decode";
+
+    // Byte-aligned rows.
+    const std::vector<std::uint8_t> aligned =
+        random_bytes(rows * ((bits + 7) / 8), rng);
+    EXPECT_TRUE(test::oracle_decode(plan, aligned, rows, cols, true, ref));
+    const gemm::PackedOperand op_rows =
+        gemm::PackedOperand::decode_rows(plan, aligned, rows, cols);
+    EXPECT_EQ(test::first_mismatch(op_rows, ref), "")
+        << what << " decode_rows";
+    return rows > 1 && bits % 8 != 0 ? rows - 1 : 0;
+}
+
+} // namespace
+
+TEST(PackedOperandCodec, DecodeMatchesTheFieldByFieldOracleOnEveryGemmFormat)
+{
+    stats::Rng rng(2207);
+    std::size_t formats = 0, unaligned_rows = 0;
+    for (const core::BdrFormat& fmt :
+         sweep::enumerate_formats(sweep::SweepSpec{})) {
+        if (fmt.elem != core::ElementKind::SignMagnitude ||
+            fmt.s_kind != core::ScaleKind::Pow2Hw)
+            continue;
+        const QuantPlan plan = make_quant_plan(fmt);
+        if (!gemm::operand_eligible(plan))
+            continue;
+        ++formats;
+        const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+        // Whole blocks, a short tail after full blocks, and a lone
+        // short block: the ragged widths are multiples of neither k1
+        // nor k2 (> 1).
+        for (std::size_t cols : {k1, 2 * k1 + 1, std::size_t{3}})
+            for (std::size_t rows : {std::size_t{1}, std::size_t{3}})
+                unaligned_rows += expect_decodes_match_oracle(
+                    plan, rows, cols, rng,
+                    fmt.summary() + " [" + std::to_string(rows) + " x " +
+                        std::to_string(cols) + "]");
+    }
+    EXPECT_GE(formats, 800u) << "the sweep lost its pow2 formats";
+    EXPECT_GT(unaligned_rows, 0u) << "no row started off a byte boundary";
+}
+
+TEST(PackedOperandCodec, EveryD1CodeDecodesToItsExponent)
+{
+    // One block per row, row r's exponent field = r: every code of
+    // every legal d1 width, written with the library's own writer.
+    stats::Rng rng(2208);
+    for (int d1 = 1; d1 <= 11; ++d1) {
+        const QuantPlan plan =
+            make_quant_plan(core::mx_custom(7, d1, 16, 1, 2));
+        const std::size_t rows = std::size_t{1} << d1, cols = 16;
+        core::BitWriter flat, aligned;
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::uint64_t taus = rng.next_u64(); // 8 sub-shifts
+            std::vector<std::uint64_t> codes(cols);
+            for (std::uint64_t& c : codes)
+                c = rng.next_u64();
+            for (core::BitWriter* w : {&flat, &aligned}) {
+                w->write(r, plan.d1);
+                w->write(taus, 8 * plan.d2);
+                for (std::uint64_t c : codes)
+                    w->write(c, 1 + plan.m);
+            }
+            aligned.pad_to_byte();
+        }
+        const gemm::PackedOperand a =
+            gemm::PackedOperand::decode(plan, flat.bytes(), rows, cols);
+        const gemm::PackedOperand b = gemm::PackedOperand::decode_rows(
+            plan, aligned.bytes(), rows, cols);
+        test::OracleView ref;
+        ASSERT_TRUE(
+            test::oracle_decode(plan, flat.bytes(), rows, cols, false, ref));
+        EXPECT_EQ(test::first_mismatch(a, ref), "") << "d1=" << d1;
+        EXPECT_EQ(test::first_mismatch(b, ref), "") << "d1=" << d1;
+        for (std::size_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(a.row_exp(r)[0], static_cast<int>(r) - plan.e_max)
+                << "d1=" << d1 << " code " << r;
+            ASSERT_EQ(b.row_exp(r)[0], a.row_exp(r)[0]);
+        }
+    }
+}
+
+TEST(PackedOperandCodec, TruncatedStreamsThrow)
+{
+    stats::Rng rng(2209);
+    for (const auto& fmt : mx_formats()) {
+        const QuantPlan plan = make_quant_plan(fmt);
+        for (std::size_t cols : {std::size_t{16}, std::size_t{19}}) {
+            const std::size_t rows = 3;
+            const std::size_t flat_bytes =
+                (rows * gemm::row_bits(plan, cols) + 7) / 8;
+            const std::size_t aligned_bytes =
+                rows * gemm::row_stream_bytes(plan, cols);
+            const std::vector<std::uint8_t> bytes =
+                random_bytes(aligned_bytes, rng);
+            const std::span<const std::uint8_t> all(bytes);
+            EXPECT_NO_THROW(gemm::PackedOperand::decode(
+                plan, all.first(flat_bytes), rows, cols));
+            EXPECT_THROW(gemm::PackedOperand::decode(
+                             plan, all.first(flat_bytes - 1), rows, cols),
+                         ArgumentError)
+                << fmt.name << " cols=" << cols;
+            EXPECT_THROW(gemm::PackedOperand::decode_rows(
+                             plan, all.first(aligned_bytes - 1), rows,
+                             cols),
+                         ArgumentError)
+                << fmt.name << " cols=" << cols;
+            EXPECT_THROW(gemm::PackedOperand::decode(plan, {}, 1, cols),
+                         ArgumentError);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
  * the SIMD kernel must be bit-identical to the scalar reference for
  * every format, block size (including short tails), magnitude regime,
  * and rounding mode — across dequantized floats, integer encodings,
- * and fused-packed bit streams.  Also covers the word-level BitWriter/
- * BitReader and the runtime dispatch override.
+ * and fused-packed bit streams — and that quantize_encode_rows writes
+ * the same encodings as quantize_block on every leg.  Also covers the
+ * BitWriter / windowed BitReader and the runtime dispatch override.
  */
 
 #include <gtest/gtest.h>
@@ -227,6 +228,98 @@ TEST_F(KernelParity, DegenerateValidFormatsStillWork)
     }
 }
 
+TEST(KernelEncode, EncodeRowsEqualsQuantizeBlockOnEveryLeg)
+{
+    // quantize_encode_rows (the packed GEMM's activation builder) must
+    // write exactly the encodings the scalar reference's quantize_block
+    // produces block by block, drawing stochastic-rounding randomness
+    // in the same order, on every kernel leg.
+    std::vector<const kernels::QuantKernel*> legs = {
+        &kernels::scalar_kernel()};
+    if (kernels::avx2_supported())
+        legs.push_back(kernels::avx2_kernel());
+    const kernels::QuantKernel& ref = kernels::scalar_kernel();
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 1}, {3, 17}, {2, 128}, {4, 37}, {1, 333}};
+    stats::Rng data_rng(8080);
+    for (const kernels::QuantKernel* kernel : legs) {
+        for (const auto& fmt : parity_formats()) {
+            const kernels::QuantPlan plan = kernels::make_quant_plan(fmt);
+            const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+            for (const auto& [rows, cols] : shapes) {
+                for (double sigma : {1.0, 1e-20, 0x1p-120, 0x1p+60}) {
+                    for (RoundingMode mode : kModes) {
+                        SCOPED_TRACE(std::string(kernel->name()) + " " +
+                                     fmt.summary() + " [" +
+                                     std::to_string(rows) + " x " +
+                                     std::to_string(cols) + "] sigma=" +
+                                     std::to_string(sigma) + " " +
+                                     to_string(mode));
+                        const auto x = random_vec(rows * cols, data_rng,
+                                                  sigma);
+                        const std::size_t subs = plan.num_sub_blocks(cols);
+                        const std::size_t blocks = (cols + k1 - 1) / k1;
+                        std::vector<std::int16_t> mant(rows * cols);
+                        std::vector<std::uint8_t> tau(rows * subs);
+                        std::vector<std::int16_t> exp(rows * blocks);
+                        stats::Rng r1(11), r2(11);
+                        kernel->quantize_encode_rows(
+                            plan, x.data(), rows, cols, Rounder(mode, &r1),
+                            mant.data(), tau.data(), exp.data());
+
+                        Rounder rb(mode, &r2);
+                        Pow2BlockEncoding enc;
+                        std::vector<float> grid(k1);
+                        std::size_t b = 0, t = 0;
+                        for (std::size_t r = 0; r < rows; ++r) {
+                            for (std::size_t off = 0; off < cols;
+                                 off += k1) {
+                                const std::size_t n =
+                                    std::min(k1, cols - off);
+                                ref.quantize_block(
+                                    plan,
+                                    std::span<const float>(
+                                        x.data() + r * cols + off, n),
+                                    std::span<float>(grid.data(), n), rb,
+                                    &enc);
+                                ASSERT_EQ(exp[b++], enc.shared_exp);
+                                for (std::uint8_t s : enc.sub_shift)
+                                    ASSERT_EQ(tau[t++], s);
+                                for (std::size_t i = 0; i < n; ++i)
+                                    ASSERT_EQ(mant[r * cols + off + i],
+                                              enc.mantissa[i])
+                                        << "element " << r * cols + off + i;
+                            }
+                        }
+                        // Same number of random draws, in the same order.
+                        EXPECT_EQ(r1.next_u64(), r2.next_u64());
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelEncode, EncodeRowsRejectsMantissasWiderThanInt16)
+{
+    const kernels::QuantPlan plan =
+        kernels::make_quant_plan(bfp_custom(16, 8, 16));
+    std::vector<float> x(16, 1.0f);
+    std::vector<std::int16_t> mant(16), exp(1);
+    std::vector<std::uint8_t> tau(16);
+    Rounder r;
+    EXPECT_THROW(kernels::scalar_kernel().quantize_encode_rows(
+                     plan, x.data(), 1, 16, r, mant.data(), tau.data(),
+                     exp.data()),
+                 ArgumentError);
+    if (kernels::avx2_supported()) {
+        EXPECT_THROW(kernels::avx2_kernel()->quantize_encode_rows(
+                         plan, x.data(), 1, 16, r, mant.data(), tau.data(),
+                         exp.data()),
+                     ArgumentError);
+    }
+}
+
 TEST(KernelDispatch, ForceScalarPinsReference)
 {
     kernels::set_force_scalar(true);
@@ -293,6 +386,75 @@ TEST(BitStream, ReadPastEndThrows)
     // The final partial byte zero-pads to 8 bits; past that is an error.
     EXPECT_EQ(r.read(2), 0u);
     EXPECT_THROW(r.read(1), ArgumentError);
+}
+
+TEST(BitStream, WindowedReadsMatchBitExtractionAtEveryLength)
+{
+    // The 64-bit window refills by whole words except in the last 8
+    // bytes: every stream length from 0 to 40 bytes, read with random
+    // widths through read() and read_run(), must return exactly the
+    // bits a one-bit-at-a-time extraction sees, and run out exactly at
+    // the end.  Streams are sized exactly, so an overread is an
+    // out-of-bounds access under the sanitizers.
+    stats::Rng rng(4711);
+    const auto bits_at = [](const std::vector<std::uint8_t>& b,
+                            std::size_t pos, int width) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < width; ++i, ++pos)
+            v |= static_cast<std::uint64_t>((b[pos / 8] >> (pos % 8)) & 1u)
+                 << i;
+        return v;
+    };
+    for (std::size_t len = 0; len <= 40; ++len) {
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<std::uint8_t> bytes(len);
+            for (std::uint8_t& b : bytes)
+                b = static_cast<std::uint8_t>(rng.next_u64());
+            BitReader r(bytes);
+            std::size_t pos = 0;
+            const std::size_t total = len * 8;
+            while (true) {
+                const int width = static_cast<int>(rng.uniform_int(0, 64));
+                const std::size_t count = rng.bernoulli(0.5)
+                    ? 1
+                    : static_cast<std::size_t>(rng.uniform_int(1, 9));
+                if (pos + count * static_cast<std::size_t>(width) > total) {
+                    if (width > 0 && count == 1) {
+                        EXPECT_THROW(r.read(width), ArgumentError);
+                        break;
+                    }
+                    continue;
+                }
+                if (count == 1) {
+                    ASSERT_EQ(r.read(width), bits_at(bytes, pos, width))
+                        << "len " << len << " bit " << pos;
+                    pos += static_cast<std::size_t>(width);
+                } else {
+                    r.read_run(width, count,
+                               [&](std::size_t, std::uint64_t v) {
+                                   ASSERT_EQ(v, bits_at(bytes, pos, width))
+                                       << "len " << len << " bit " << pos;
+                                   pos += static_cast<std::size_t>(width);
+                               });
+                }
+                ASSERT_EQ(r.bit_position(), pos);
+            }
+        }
+    }
+}
+
+TEST(BitStream, ReadRunPastEndThrows)
+{
+    std::vector<std::uint8_t> bytes(11, 0xA5); // 88 bits = 11 x 8
+    BitReader r(bytes);
+    std::size_t seen = 0;
+    EXPECT_THROW(r.read_run(8, 12,
+                            [&](std::size_t, std::uint64_t v) {
+                                EXPECT_EQ(v, 0xA5u);
+                                ++seen;
+                            }),
+                 ArgumentError);
+    EXPECT_EQ(seen, 11u);
 }
 
 TEST(QuantPlan, RejectsNonPow2Formats)

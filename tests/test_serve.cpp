@@ -845,6 +845,46 @@ TEST(DecodeSession, SlabCommitTruncateRetreatAndNativeFootprint)
         << fp32 << " B";
 }
 
+TEST(DecodeSession, WarmStepsAppendToTheOpenVTailWithoutReallocating)
+{
+    // The open V tail reserves k1 + 1 rows at the first warm s = 1
+    // step; later s = 1 steps append in place, and a slab commit erases
+    // the block's raw rows but keeps the room.  A multi-row step (the
+    // prompt) keeps no more than that room.  memory_bytes() counts only
+    // the rows the tail holds.
+    models::GptMini model = make_decode_gpt_fmt(core::mx9(), 32, 2);
+    const auto& cfg = model.config();
+    const std::size_t k1 = static_cast<std::size_t>(core::mx9().k1);
+    const std::size_t d = static_cast<std::size_t>(cfg.d_model);
+    models::GptDecodeSession session;
+    std::vector<int> ctx = {3, 1, 4, 1, 5};
+    model.decode_logits(ctx, &session);
+    ASSERT_FALSE(session.layers.empty());
+    ASSERT_TRUE(session.layers[0].native);
+    const nn::AttnPrefixCache& layer = session.layers[0];
+    EXPECT_LE(layer.v_tail.capacity(), (k1 + 1) * d);
+    ctx.push_back(2);
+    model.decode_logits(ctx, &session);
+    const std::size_t capacity = layer.v_tail.capacity();
+    const float* storage = layer.v_tail.data();
+    EXPECT_GE(capacity, (k1 + 1) * d);
+    while (static_cast<std::int64_t>(ctx.size()) < cfg.seq_len) {
+        ctx.push_back((3 * static_cast<int>(ctx.size()) + 1) %
+                      static_cast<int>(cfg.vocab));
+        model.decode_logits(ctx, &session);
+        const std::size_t tail_rows = ctx.size() % k1;
+        EXPECT_EQ(layer.v_tail.capacity(), capacity) << "key " << ctx.size();
+        EXPECT_EQ(layer.v_tail.data(), storage) << "key " << ctx.size();
+        EXPECT_EQ(layer.v_tail.size(), tail_rows * d) << "key " << ctx.size();
+        std::size_t held = 0;
+        for (const auto& stream : layer.k_heads)
+            held += stream.size();
+        for (const auto& slab : layer.v_slabs)
+            held += slab.size();
+        EXPECT_EQ(layer.memory_bytes(), held + tail_rows * d * sizeof(float));
+    }
+}
+
 TEST(SessionCache, ByteAccountingTracksResidencyAndEviction)
 {
     serve::SessionCache cache(2);
