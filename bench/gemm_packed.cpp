@@ -102,11 +102,9 @@ main()
         static_cast<std::size_t>(M) * static_cast<std::size_t>(K) *
         static_cast<std::size_t>(N);
 
-    const bool profitable = gemm::packed_profitable();
-    std::printf("packed-GEMM kernel: %s (%s)\n",
-                gemm::active_gemm_kernel().name(),
-                profitable ? "packed path profitable"
-                           : "scalar reference leg");
+    const gemm::PackedGemmKernel& kernel = gemm::active_gemm_kernel();
+    const bool simd_leg = &kernel != &gemm::scalar_gemm_kernel();
+    std::printf("packed-GEMM kernel: %s\n", kernel.name());
     report.metric("gemm_shape_m", static_cast<double>(M));
     report.metric("gemm_shape_k", static_cast<double>(K));
     report.metric("gemm_shape_n", static_cast<double>(N));
@@ -152,7 +150,7 @@ main()
         const bool fmt_ok = db >= qsnr_floor(fmt.name);
         report.flag("gemm_" + fmt.name + "_qsnr_floor", fmt_ok);
         ok = ok && fmt_ok;
-        if (profitable) {
+        if (simd_leg) {
             // The speed claim is only meaningful on the SIMD leg — the
             // scalar packed kernel is a reference, not a fast path.
             const bool fast_ok = speedup >= 1.0;

@@ -108,8 +108,7 @@ main()
         return static_cast<double>(mlp_requests) / (now_sec() - t0);
     };
 
-    // Frozen layers run the packed GEMM on a SIMD host and their grid
-    // values on the scalar leg (gemm::route_packed).
+    // Frozen pairable layers run the packed GEMM on every kernel.
     const double mlp_fake = mlp_single_stream();
     mlp.freeze();
     const double mlp_frozen = mlp_single_stream();

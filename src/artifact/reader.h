@@ -66,7 +66,8 @@ class ArtifactReader
      * first use and cached: repeated calls — and therefore every model
      * loaded from this reader — share one payload viewing the mapping.
      * The first request decides the FP32 grid: load_into builds a
-     * Linear slot's handle under FrozenTensor::needs_grid, while a
+     * Linear slot's handle with a grid only when it cannot pair with
+     * its activation format (FrozenTensor::pairs_with), while a
      * handle first built here keeps its grid (any layer can read it).
      */
     const nn::FrozenTensor& frozen(std::size_t i) const;

@@ -48,10 +48,19 @@ operand_eligible(const QuantPlan& plan)
     return plan.m <= 15;
 }
 
+/** An operand's mantissas shifted left by up to beta fit int32 (the
+ *  scalar kernel's aligned lanes). */
+bool
+aligned_fits_int32(const QuantPlan& plan)
+{
+    return plan.m + plan.beta <= 31;
+}
+
 bool
 gemm_compatible(const QuantPlan& a, const QuantPlan& b)
 {
     return operand_eligible(a) && operand_eligible(b) && a.k1 == b.k1 &&
+           aligned_fits_int32(a) && aligned_fits_int32(b) &&
            block_accumulator_bits(a, b) <= 62;
 }
 
@@ -64,6 +73,9 @@ make_gemm_plan(const QuantPlan& a, const QuantPlan& b)
     MX_CHECK_ARG(operand_eligible(a) && operand_eligible(b),
                  "make_gemm_plan: mantissa too wide for the int16 "
                  "execution view (m=" << a.m << ", " << b.m << ")");
+    MX_CHECK_ARG(aligned_fits_int32(a) && aligned_fits_int32(b),
+                 "make_gemm_plan: a mantissa shifted by beta would "
+                 "overflow int32");
     MX_CHECK_ARG(block_accumulator_bits(a, b) <= 62,
                  "make_gemm_plan: shifted block accumulator would "
                  "overflow int64");

@@ -67,8 +67,9 @@ struct GemmPlan
 /**
  * True when the packed-GEMM kernels can execute an (a, b) operand pair:
  * matching k1 block granularity, mantissas narrow enough for the int16
- * execution view, and enough int64 headroom to accumulate a whole
- * shifted k1-block pair exactly.
+ * execution view, each side's mantissa shifted by its beta within
+ * int32, and enough int64 headroom to accumulate a whole shifted
+ * k1-block pair exactly.
  */
 bool gemm_compatible(const core::kernels::QuantPlan& a,
                      const core::kernels::QuantPlan& b);

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "core/check.h"
 #include "core/env.h"
@@ -98,6 +99,112 @@ check_nn(const GemmPlan& plan, const PackedOperand& a,
                      << " contraction elements, A has " << a.cols());
 }
 
+/** One B block as a tile loop reads it: its mantissas, the shifts of
+ *  its sub-blocks and its shared exponent. */
+struct BBlock
+{
+    const std::int16_t* mant;
+    const std::uint8_t* tau;
+    int exp;
+};
+
+/**
+ * Pre-align @p n mantissas of one block: each is shifted left by beta -
+ * tau of its k2 sub-block.  That is one operand's half of Figure 6's
+ * shifter: (Ma << sa) * (Mb << sb) = (Ma * Mb) << (budget - taua - taub)
+ * with sa + sb = budget - taua - taub, so the block integer of two
+ * aligned blocks is one plain dot product.  gemm_compatible proves
+ * m + beta <= 31, so an aligned mantissa fits int32.
+ */
+void
+align_block(const std::int16_t* m, const std::uint8_t* tau, std::size_t n,
+            std::size_t k2, int beta, std::int32_t* out)
+{
+    for (std::size_t s = 0; s < n; s += k2) {
+        const int shift = beta - tau[s / k2];
+        const std::size_t hi = std::min(n, s + k2);
+        for (std::size_t k = s; k < hi; ++k)
+            out[k] = static_cast<std::int32_t>(m[k]) << shift;
+    }
+}
+
+/**
+ * The scalar reference tile over blocks [0, nblocks): @p b_block(col,
+ * blk) returns tile column col's block blk, which holds min(k1, a.cols()
+ * - k1 blk) elements like A's (an NN leg's chunk widths tile a.cols()
+ * exactly).  Per kc panel, the tile's B blocks are aligned once into
+ * thread-local scratch and reused by every A row; each A row's panel is
+ * aligned once and reused by every column.  Then each block pair is one
+ * int64 dot of aligned mantissas times 2^(Ea + Eb - exp_bias), rounded
+ * to float once and added in ascending block order: the file contract's
+ * integers and roundings exactly (the GemmPlan's int64 headroom covers
+ * every block sum).
+ */
+template <typename BBlockOf>
+void
+scalar_tile(const GemmPlan& plan, const PackedOperand& a,
+            std::size_t nblocks, const Tile& t, float* c, std::size_t ldc,
+            const BBlockOf& b_block)
+{
+    const std::size_t k1 = static_cast<std::size_t>(plan.a.k1);
+    const std::size_t k2a = static_cast<std::size_t>(plan.a.k2);
+    const std::size_t k2b = static_cast<std::size_t>(plan.b.k2);
+    const std::size_t cols = a.cols();
+    const std::size_t ncols = t.j1 - t.j0;
+    const std::size_t span = kPanelBlocks * k1; // elements per panel row
+    thread_local std::vector<std::int32_t> a_al, b_al;
+    thread_local std::vector<int> b_exp;
+    if (b_al.size() < kTileRowsB * span) {
+        a_al.resize(span);
+        b_al.resize(kTileRowsB * span);
+        b_exp.resize(kTileRowsB * kPanelBlocks);
+    }
+    MX_CHECK(ncols <= kTileRowsB,
+             "scalar gemm tile: tile is " << ncols << " columns wide");
+    const auto block_len = [&](std::size_t blk) {
+        return std::min(k1, cols - blk * k1);
+    };
+    for (std::size_t p0 = 0; p0 < nblocks; p0 += kPanelBlocks) {
+        const std::size_t p1 = std::min(nblocks, p0 + kPanelBlocks);
+        const bool first = p0 == 0;
+        for (std::size_t j = 0; j < ncols; ++j)
+            for (std::size_t blk = p0; blk < p1; ++blk) {
+                const BBlock bb = b_block(j, blk);
+                align_block(bb.mant, bb.tau, block_len(blk), k2b,
+                            plan.b.beta,
+                            b_al.data() + j * span + (blk - p0) * k1);
+                b_exp[j * kPanelBlocks + blk - p0] = bb.exp - plan.exp_bias;
+            }
+        for (std::size_t i = t.i0; i < t.i1; ++i) {
+            const std::int16_t* am = a.row_mantissa(i);
+            const std::uint8_t* atau = a.row_tau(i);
+            const std::int16_t* aexp = a.row_exp(i);
+            for (std::size_t blk = p0; blk < p1; ++blk)
+                align_block(am + blk * k1, atau + blk * k1 / k2a,
+                            block_len(blk), k2a, plan.a.beta,
+                            a_al.data() + (blk - p0) * k1);
+            float* crow = c + i * ldc + t.j0;
+            for (std::size_t j = 0; j < ncols; ++j) {
+                const std::int32_t* bj = b_al.data() + j * span;
+                const int* ej = b_exp.data() + j * kPanelBlocks;
+                float acc = first ? 0.0f : crow[j];
+                for (std::size_t blk = p0; blk < p1; ++blk) {
+                    const std::size_t off = (blk - p0) * k1;
+                    const std::size_t n = block_len(blk);
+                    std::int64_t dot = 0;
+                    for (std::size_t k = off; k < off + n; ++k)
+                        dot += static_cast<std::int64_t>(a_al[k]) * bj[k];
+                    acc += static_cast<float>(
+                        static_cast<double>(dot) *
+                        core::kernels::detail::pow2_double(aexp[blk] +
+                                                           ej[blk - p0]));
+                }
+                crow[j] = acc;
+            }
+        }
+    }
+}
+
 class ScalarGemmKernel final : public PackedGemmKernel
 {
   public:
@@ -108,37 +215,15 @@ class ScalarGemmKernel final : public PackedGemmKernel
               const PackedOperand& b, const Tile& t, float* c,
               std::size_t ldc) const override
     {
-        const std::size_t k1 = static_cast<std::size_t>(plan.a.k1);
-        const std::size_t cols = a.cols();
-        const std::size_t nblocks = (cols + k1 - 1) / k1;
-        // kc panels outermost: the tile's B rows stay L1/L2-resident
-        // across a panel instead of streaming the whole contraction
-        // per output element.  Panels ascend and the intermediate C
-        // load/store round-trips are exact, so each element's FP32
-        // addition chain equals the streaming order.
-        for (std::size_t p0 = 0; p0 < nblocks; p0 += kPanelBlocks) {
-            const std::size_t p1 = std::min(nblocks, p0 + kPanelBlocks);
-            const bool first = p0 == 0;
-            for (std::size_t i = t.i0; i < t.i1; ++i) {
-                const std::int16_t* am = a.row_mantissa(i);
-                const std::uint8_t* atau = a.row_tau(i);
-                const std::int16_t* aexp = a.row_exp(i);
-                float* crow = c + i * ldc;
-                for (std::size_t j = t.j0; j < t.j1; ++j) {
-                    const std::int16_t* bm = b.row_mantissa(j);
-                    const std::uint8_t* btau = b.row_tau(j);
-                    const std::int16_t* bexp = b.row_exp(j);
-                    float acc = first ? 0.0f : crow[j];
-                    for (std::size_t blk = p0; blk < p1; ++blk) {
-                        const std::size_t off = blk * k1;
-                        acc += detail::block_contrib(
-                            plan, am, atau, aexp[blk], bm, btau,
-                            bexp[blk], off, std::min(k1, cols - off));
-                    }
-                    crow[j] = acc;
-                }
-            }
-        }
+        const std::size_t k1 = static_cast<std::size_t>(plan.b.k1);
+        const std::size_t k2 = static_cast<std::size_t>(plan.b.k2);
+        scalar_tile(plan, a, plan.blocks_per_row(a.cols()), t, c, ldc,
+                    [&](std::size_t col, std::size_t blk) {
+                        const std::size_t r = t.j0 + col;
+                        return BBlock{b.row_mantissa(r) + blk * k1,
+                                      b.row_tau(r) + blk * k1 / k2,
+                                      b.row_exp(r)[blk]};
+                    });
     }
 
     void
@@ -146,29 +231,13 @@ class ScalarGemmKernel final : public PackedGemmKernel
                  std::span<const NnBlockRef> b, const Tile& t, float* c,
                  std::size_t ldc) const override
     {
-        const std::size_t k1 = static_cast<std::size_t>(plan.a.k1);
-        for (std::size_t p0 = 0; p0 < b.size(); p0 += kPanelBlocks) {
-            const std::size_t p1 = std::min(b.size(), p0 + kPanelBlocks);
-            const bool first = p0 == 0;
-            for (std::size_t i = t.i0; i < t.i1; ++i) {
-                const std::int16_t* am = a.row_mantissa(i);
-                const std::uint8_t* atau = a.row_tau(i);
-                const std::int16_t* aexp = a.row_exp(i);
-                float* crow = c + i * ldc;
-                for (std::size_t j = t.j0; j < t.j1; ++j) {
-                    float acc = first ? 0.0f : crow[j];
-                    for (std::size_t k = p0; k < p1; ++k) {
-                        const PackedOperand& chunk = *b[k].op;
-                        const std::size_t br = b[k].row_off + j;
-                        acc += detail::block_contrib2(
-                            plan, am, atau, aexp[k], k * k1,
-                            chunk.row_mantissa(br), chunk.row_tau(br),
-                            chunk.row_exp(br)[0], 0, chunk.cols());
-                    }
-                    crow[j] = acc;
-                }
-            }
-        }
+        scalar_tile(plan, a, b.size(), t, c, ldc,
+                    [&](std::size_t col, std::size_t k) {
+                        const PackedOperand& ch = *b[k].op;
+                        const std::size_t r = b[k].row_off + t.j0 + col;
+                        return BBlock{ch.row_mantissa(r), ch.row_tau(r),
+                                      ch.row_exp(r)[0]};
+                    });
     }
 };
 
@@ -350,18 +419,6 @@ set_gemm_threads(std::size_t threads)
 {
     g_gemm_threads.store(threads == 0 ? -1 : static_cast<long>(threads),
                          std::memory_order_release);
-}
-
-bool
-packed_profitable()
-{
-    return &active_gemm_kernel() != &scalar_gemm_kernel();
-}
-
-bool
-route_packed(bool packed_only)
-{
-    return packed_only || packed_profitable();
 }
 
 tensor::Tensor

@@ -59,12 +59,10 @@
  * (same MX_FORCE_SCALAR / MX_FORCE_AVX2 overrides, same
  * set_simd_level test hook).
  *
- * Routing (route_packed): a frozen layer runs the packed path when it
- * holds no FP32 grid or when a SIMD gemm kernel is active.  Freeze and
- * load keep the grid only where a layer reads it (nn/frozen.h), so a
- * pairable layer frozen on a SIMD host has none.  On the scalar kernel
- * a layer that has its grid serves on it: there the values matmul is
- * 3-4x faster than the scalar packed kernel.
+ * Routing: a frozen layer runs this pipeline whenever its weight pairs
+ * with its activation format (nn::FrozenTensor::pairs_with), on every
+ * kernel, so one artifact serves the same bits on every host.  Freeze
+ * and load keep no FP32 grid for such a layer (nn/frozen.h).
  *
  * Knob:
  *   MX_GEMM_THREADS=N shard output tiles across N lanes (default: the
@@ -204,17 +202,6 @@ std::size_t gemm_threads();
  *  environment on the next call (test hook + embedder API). */
 void set_gemm_threads(std::size_t threads);
 
-/** True when the packed path is the faster engine on this host right
- *  now (a SIMD gemm kernel is active). */
-bool packed_profitable();
-
-/**
- * The routing decision a frozen layer makes per forward: packed when
- * the layer has no FP32 grid to fall back to (@p packed_only) or when
- * packed_profitable().
- */
-bool route_packed(bool packed_only);
-
 /**
  * C = X * W^T with X[M, K] float activations and W[N, K] packed:
  * quantizes X on the fly into the execution view (the same
@@ -281,53 +268,6 @@ tensor::Tensor matmul_nn_packed(const GemmPlan& plan,
 tensor::Tensor dequantize(const PackedOperand& op);
 
 namespace detail {
-
-/**
- * One k1-block pair's contribution in the packed domain — the scalar
- * semantics every kernel must reproduce exactly — with independent
- * per-operand element offsets: @p aoff / @p boff locate the block
- * inside each operand's row (the NT leg walks both rows in lockstep;
- * the NN leg's b-chunks are standalone single-block rows at boff 0).
- * Pointers are whole-row views (PackedOperand::row_mantissa /
- * row_tau); @p n is the block length (k1 or a ragged tail).  Both
- * offsets must be k1-aligned so the tau indexing below lands on
- * sub-block boundaries.
- */
-inline float
-block_contrib2(const GemmPlan& plan, const std::int16_t* am_row,
-               const std::uint8_t* atau_row, int aexp, std::size_t aoff,
-               const std::int16_t* bm_row, const std::uint8_t* btau_row,
-               int bexp, std::size_t boff, std::size_t n)
-{
-    const std::size_t g = static_cast<std::size_t>(plan.g);
-    const std::size_t k2a = static_cast<std::size_t>(plan.a.k2);
-    const std::size_t k2b = static_cast<std::size_t>(plan.b.k2);
-    std::int64_t blk = 0;
-    for (std::size_t s = 0; s < n; s += g) {
-        const std::size_t hi = std::min(n, s + g);
-        std::int64_t dot = 0;
-        for (std::size_t k = s; k < hi; ++k)
-            dot += static_cast<std::int32_t>(am_row[aoff + k]) *
-                   bm_row[boff + k];
-        const int shift = plan.budget - atau_row[(aoff + s) / k2a] -
-                          btau_row[(boff + s) / k2b];
-        blk += dot << shift;
-    }
-    return static_cast<float>(
-        static_cast<double>(blk) *
-        core::kernels::detail::pow2_double(aexp + bexp - plan.exp_bias));
-}
-
-/** The NT-leg special case: one shared offset for both operands. */
-inline float
-block_contrib(const GemmPlan& plan, const std::int16_t* am_row,
-              const std::uint8_t* atau_row, int aexp,
-              const std::int16_t* bm_row, const std::uint8_t* btau_row,
-              int bexp, std::size_t off, std::size_t n)
-{
-    return block_contrib2(plan, am_row, atau_row, aexp, off, bm_row,
-                          btau_row, bexp, off, n);
-}
 
 /**
  * True when (plan) fits the SIMD fast path shared by the AVX2 and

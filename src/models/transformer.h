@@ -194,7 +194,7 @@ class GptMini
      * logits [B, vocab] from an eval-mode forward.  This is the batch
      * function handed to serve::InferenceEngine for decode serving;
      * once frozen, its weight matmuls (projections + FFNs) run in the
-     * packed domain via mx_gemm on the SIMD leg.
+     * packed domain via mx_gemm on every kernel.
      */
     tensor::Tensor window_logits(const tensor::Tensor& windows);
 

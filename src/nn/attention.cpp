@@ -139,14 +139,7 @@ MultiHeadAttention::set_spec(const QuantSpec& spec)
 bool
 MultiHeadAttention::native_cache_format() const
 {
-    if (!causal_ || !spec_.forward.has_value() ||
-        spec_.forward->s_kind != core::ScaleKind::Pow2Hw ||
-        spec_.forward->elem != core::ElementKind::SignMagnitude)
-        return false;
-    const core::kernels::QuantPlan plan =
-        core::kernels::make_quant_plan(*spec_.forward);
-    return gemm::operand_eligible(plan) &&
-           gemm::gemm_compatible(plan, plan);
+    return causal_ && packed_act_act();
 }
 
 bool
@@ -158,8 +151,7 @@ MultiHeadAttention::packed_act_act() const
         return false;
     const core::kernels::QuantPlan plan =
         core::kernels::make_quant_plan(*spec_.forward);
-    return gemm::operand_eligible(plan) &&
-           gemm::gemm_compatible(plan, plan) && gemm::packed_profitable();
+    return gemm::gemm_compatible(plan, plan);
 }
 
 void
@@ -240,8 +232,8 @@ MultiHeadAttention::forward(const Tensor& x, bool train)
         cache_.assign(static_cast<std::size_t>(batch * heads_), HeadCache{});
 
     // Frozen eval forwards run the activation-activation contractions
-    // (Q K^T, P V) on the packed kernels when the routing policy
-    // engages them; both engines quantize the operands identically.
+    // (Q K^T, P V) on the packed kernels whenever the format pairs with
+    // itself; both engines quantize the operands identically.
     const bool packed_aa = !train && packed_act_act();
     const core::kernels::QuantPlan aplan =
         packed_aa ? core::kernels::make_quant_plan(*spec_.forward)
@@ -406,7 +398,6 @@ MultiHeadAttention::decode_step(const Tensor& x,
     steps.reserve(streams.size());
     for (const DecodeRows& r : streams)
         steps.push_back(begin_step(r, k, v));
-    const bool packed_exec = packed_act_act();
     Tensor concat = Tensor::zeros({total, d_model_});
     const std::size_t heads = static_cast<std::size_t>(heads_);
     core::ThreadPool::shared().parallel_for(
@@ -415,7 +406,7 @@ MultiHeadAttention::decode_step(const Tensor& x,
             const StepStream& st = steps[t / heads];
             const std::int64_t h = static_cast<std::int64_t>(t % heads);
             if (st.cache->native)
-                attend_native(st, h, q, k, packed_exec, concat);
+                attend_native(st, h, q, k, concat);
             else
                 attend_fp32(st, h, q, concat);
         });
@@ -472,9 +463,10 @@ MultiHeadAttention::begin_step(const DecodeRows& rows, const Tensor& k,
                      << "-position window");
 
     // Storage mode: a fresh stream adopts native packed streams when
-    // the format permits; a live stream continues in the mode its
-    // prefix was stored under (it cannot be converted — the raw floats
-    // behind committed native blocks are gone).
+    // the layer is frozen and its format pairs with itself; a live
+    // stream continues in the mode its prefix was stored under (it
+    // cannot be converted — the raw floats behind committed native
+    // blocks are gone), so a layer frozen or unfrozen since rejects it.
     if (p == 0) {
         cache = AttnPrefixCache{};
         cache.native = native_cache_format();
@@ -484,26 +476,30 @@ MultiHeadAttention::begin_step(const DecodeRows& rows, const Tensor& k,
             cache.head_dim = head_dim_;
             cache.k_heads.assign(static_cast<std::size_t>(heads_), {});
         }
-    } else if (cache.native) {
-        MX_CHECK_ARG(cache.d_model == d_model_ &&
-                     cache.head_dim == head_dim_ &&
-                     cache.k_heads.size() ==
-                         static_cast<std::size_t>(heads_),
-                     "MultiHeadAttention: prefix cache shape drifted");
-        const core::kernels::QuantPlan now =
-            native_cache_format()
-                ? core::kernels::make_quant_plan(*spec_.forward)
-                : core::kernels::QuantPlan{};
-        MX_CHECK_ARG(now.m == cache.plan.m && now.d1 == cache.plan.d1 &&
-                     now.k1 == cache.plan.k1 &&
-                     now.d2 == cache.plan.d2 && now.k2 == cache.plan.k2,
-                     "MultiHeadAttention: activation format changed "
-                     "under a native cached prefix");
     } else {
-        MX_CHECK_ARG(cache.k.ndim() == 2 && cache.k.dim(0) == p &&
-                     cache.k.dim(1) == d_model_ &&
-                     cache.v.same_shape(cache.k),
-                     "MultiHeadAttention: prefix cache shape drifted");
+        MX_CHECK_ARG(cache.native == native_cache_format(),
+                     "MultiHeadAttention: the prefix cache was stored "
+                     "for a " << (cache.native ? "frozen" : "unfrozen")
+                              << " layer");
+        if (cache.native) {
+            MX_CHECK_ARG(cache.d_model == d_model_ &&
+                         cache.head_dim == head_dim_ &&
+                         cache.k_heads.size() ==
+                             static_cast<std::size_t>(heads_),
+                         "MultiHeadAttention: prefix cache shape drifted");
+            const core::kernels::QuantPlan now =
+                core::kernels::make_quant_plan(*spec_.forward);
+            MX_CHECK_ARG(now.m == cache.plan.m && now.d1 == cache.plan.d1 &&
+                         now.k1 == cache.plan.k1 &&
+                         now.d2 == cache.plan.d2 && now.k2 == cache.plan.k2,
+                         "MultiHeadAttention: activation format changed "
+                         "under a native cached prefix");
+        } else {
+            MX_CHECK_ARG(cache.k.ndim() == 2 && cache.k.dim(0) == p &&
+                         cache.k.dim(1) == d_model_ &&
+                         cache.v.same_shape(cache.k),
+                         "MultiHeadAttention: prefix cache shape drifted");
+        }
     }
 
     const float* k_new = k.data() + st.row0 * d_model_;
@@ -573,7 +569,7 @@ MultiHeadAttention::begin_step(const DecodeRows& rows, const Tensor& k,
 void
 MultiHeadAttention::attend_native(const StepStream& st, std::int64_t h,
                                   const Tensor& q, const Tensor& k,
-                                  bool packed_exec, Tensor& concat) const
+                                  Tensor& concat) const
 {
     AttnPrefixCache& cache = *st.cache;
     const core::kernels::QuantPlan& aplan = cache.plan;
@@ -641,32 +637,13 @@ MultiHeadAttention::attend_native(const StepStream& st, std::int64_t h,
             dh, static_cast<std::size_t>(k1)));
 
     const gemm::GemmPlan gp = gemm::make_gemm_plan(aplan, aplan);
-    // Grid fallback (scalar gemm kernel): dequantize the SAME stored
-    // encodings — never re-quantize — so it cannot drift from the
-    // legacy fake-quant path even where re-quantization would not be
-    // idempotent.
-    Tensor k_grid;
-    std::vector<Tensor> slab_grids;
-    if (!packed_exec) {
-        k_grid = gemm::dequantize(k_op);
-        for (const gemm::PackedOperand& op : slab_ops)
-            slab_grids.push_back(gemm::dequantize(op));
-    }
 
     // Q K^T straight off the packed key rows.
     const float* qh =
         head_block(q, d_model_, st.row0, s, h, head_dim_, buf);
-    Tensor scores;
-    if (packed_exec) {
-        const gemm::PackedOperand q_op = gemm::PackedOperand::quantize(
-            aplan, qh, static_cast<std::size_t>(s), dh, rounder);
-        scores = gemm::matmul_nt_prequant(gp, q_op, k_op);
-    } else {
-        const Tensor qt({s, head_dim_},
-                        std::vector<float>(qh, qh + s * head_dim_));
-        scores = tensor::matmul_nt(
-            quantize_rows(qt, *spec_.forward, spec_.rounding), k_grid);
-    }
+    const gemm::PackedOperand q_op = gemm::PackedOperand::quantize(
+        aplan, qh, static_cast<std::size_t>(s), dh, rounder);
+    Tensor scores = gemm::matmul_nt_prequant(gp, q_op, k_op);
     scale_and_mask(scores, s, n, p,
                    1.0f / std::sqrt(static_cast<float>(head_dim_)));
     const Tensor probs = tensor::softmax_rows(scores);
@@ -680,50 +657,22 @@ MultiHeadAttention::attend_native(const StepStream& st, std::int64_t h,
         const std::int64_t vis = p + i + 1;
         const std::int64_t nb = vis / k1; // full slabs visible
         const std::int64_t tlen = vis - nb * k1;
-        const float* prow = probs.data() + i * n;
-        transpose_head(raw + (nb * k1 - raw_base) * d_model_, tlen,
-                       d_model_, head_dim_, buf);
-
-        Tensor crow; // [1, head_dim]
-        if (packed_exec) {
-            const gemm::PackedOperand prow_op =
-                gemm::PackedOperand::quantize(
-                    aplan, prow, 1, static_cast<std::size_t>(vis), rounder);
-            gemm::PackedOperand tail_op;
-            refs.clear();
-            for (std::int64_t b = 0; b < nb; ++b)
-                refs.push_back({&slab_ops[static_cast<std::size_t>(b)], 0});
-            if (tlen > 0) {
-                tail_op = gemm::PackedOperand::quantize(
-                    aplan, buf.data(), dh, static_cast<std::size_t>(tlen),
-                    rounder);
-                refs.push_back({&tail_op, 0});
-            }
-            crow = gemm::matmul_nn_packed(gp, prow_op, refs, dh);
-        } else {
-            // Assemble the visible V^T grid from slab grids plus the
-            // quantized tail, then contract in FP32.
-            Tensor vt_grid({head_dim_, vis});
-            for (std::int64_t b = 0; b < nb; ++b) {
-                const Tensor& g = slab_grids[static_cast<std::size_t>(b)];
-                for (std::int64_t d = 0; d < head_dim_; ++d)
-                    std::copy(g.data() + d * k1, g.data() + (d + 1) * k1,
-                              vt_grid.data() + d * vis + b * k1);
-            }
-            if (tlen > 0) {
-                const Tensor tg = quantize_rows(
-                    Tensor({head_dim_, tlen},
-                           std::vector<float>(buf.begin(), buf.end())),
-                    *spec_.forward, spec_.rounding);
-                for (std::int64_t d = 0; d < head_dim_; ++d)
-                    std::copy(tg.data() + d * tlen,
-                              tg.data() + (d + 1) * tlen,
-                              vt_grid.data() + d * vis + nb * k1);
-            }
-            const Tensor pt({1, vis}, std::vector<float>(prow, prow + vis));
-            crow = tensor::matmul_nt(
-                quantize_rows(pt, *spec_.forward, spec_.rounding), vt_grid);
+        const gemm::PackedOperand prow_op = gemm::PackedOperand::quantize(
+            aplan, probs.data() + i * n, 1, static_cast<std::size_t>(vis),
+            rounder);
+        refs.clear();
+        for (std::int64_t b = 0; b < nb; ++b)
+            refs.push_back({&slab_ops[static_cast<std::size_t>(b)], 0});
+        gemm::PackedOperand tail_op;
+        if (tlen > 0) {
+            transpose_head(raw + (nb * k1 - raw_base) * d_model_, tlen,
+                           d_model_, head_dim_, buf);
+            tail_op = gemm::PackedOperand::quantize(
+                aplan, buf.data(), dh, static_cast<std::size_t>(tlen),
+                rounder);
+            refs.push_back({&tail_op, 0});
         }
+        const Tensor crow = gemm::matmul_nn_packed(gp, prow_op, refs, dh);
         float* row =
             concat.data() + (st.row0 + i) * d_model_ + h * head_dim_;
         for (std::int64_t j = 0; j < head_dim_; ++j)

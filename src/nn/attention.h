@@ -28,9 +28,9 @@ namespace nn {
  *
  * Two storage modes:
  *
- *  - Native MX (`native == true`, engaged whenever the forward
- *    activation format is a pow2-block family the packed GEMM can
- *    execute): the prefix is held as packed MX bit streams — the exact
+ *  - Native MX (`native == true`, engaged for a frozen layer whose
+ *    forward activation format is a pow2-block family the packed GEMM
+ *    can execute): the prefix is held as packed MX bit streams — the exact
  *    quantization blocks the causal-visibility discipline defines, so
  *    appending a token quantizes it ONCE and nothing is ever
  *    re-quantized.  K keeps one byte-aligned packed row per (head,
@@ -43,8 +43,8 @@ namespace nn {
  *    prefix.
  *
  *  - Legacy FP32 (`native == false`): [prefix, d_model] rows of the
- *    post-projection activations, re-quantized on use (FP32 specs and
- *    formats outside the packed family).
+ *    post-projection activations, re-quantized on use (unfrozen
+ *    layers, FP32 specs and formats outside the packed family).
  */
 struct AttnPrefixCache
 {
@@ -181,7 +181,8 @@ class MultiHeadAttention : public Layer
     /** Freeze all four projections; the activation-activation
      *  contractions (Q K^T, P V) keep their per-call quantization.
      *  Frozen projection matmuls ride the packed-domain mx_gemm path
-     *  through Linear when the routing policy engages it. */
+     *  through Linear whenever the weight pairs with the activation
+     *  format. */
     void freeze() override;
     void freeze(const QuantSpec& spec) override;
     void unfreeze() override;
@@ -203,15 +204,16 @@ class MultiHeadAttention : public Layer
     void scatter_head(tensor::Tensor& packed, const tensor::Tensor& head,
                       std::int64_t b, std::int64_t h) const;
 
-    /** True when a prefix cache for this layer stores packed MX streams
-     *  (causal + pow2-block forward format the packed GEMM can pair
-     *  with itself).  Storage is native whenever the format permits;
-     *  the active gemm kernel only picks the execution engine. */
+    /** True when a prefix cache for this layer stores packed MX streams:
+     *  causal, and packed_act_act().  An unfrozen layer's decode keeps
+     *  FP32 rows and re-quantizes them on use, as fake quantization
+     *  does everywhere else. */
     bool native_cache_format() const;
 
     /** True when this eval forward's activation-activation contractions
-     *  (Q K^T, P V) run on the packed kernels: frozen layer, native
-     *  format, and a SIMD gemm kernel is active (gemm::route_packed). */
+     *  (Q K^T, P V) run on the packed kernels: a frozen layer whose
+     *  forward format is a pow2-block format that pairs with itself,
+     *  whatever kernel is active. */
     bool packed_act_act() const;
 
     /** The three input projections, through the quantize-once
@@ -243,7 +245,7 @@ class MultiHeadAttention : public Layer
      *  @p concat's rows of this stream and columns of this head. */
     void attend_native(const StepStream& st, std::int64_t h,
                        const tensor::Tensor& q, const tensor::Tensor& k,
-                       bool packed_exec, tensor::Tensor& concat) const;
+                       tensor::Tensor& concat) const;
 
     /** The same task over legacy FP32 rows (re-quantized on use). */
     void attend_fp32(const StepStream& st, std::int64_t h,

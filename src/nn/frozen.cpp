@@ -6,7 +6,6 @@
 #include "core/check.h"
 #include "core/kernels/dispatch.h"
 #include "gemm/gemm_plan.h"
-#include "gemm/packed_gemm.h"
 #include "nn/quant.h"
 
 namespace mx {
@@ -115,7 +114,7 @@ FrozenTensor::build(const Tensor& w,
         // quantize_rows and the codec, so the flat pack matches.
         p.packed = formats::pack(*fmt, w.span(), rounding);
     }
-    if (f.needs_grid(act))
+    if (!f.pairs_with(act))
         p.values = quantize_rows(w, *fmt, rounding);
     return f;
 }
@@ -159,7 +158,7 @@ FrozenTensor::from_packed(const core::BdrFormat& fmt,
             p.operand = gemm::PackedOperand::decode(
                 *p.plan, bytes, static_cast<std::size_t>(rows),
                 static_cast<std::size_t>(cols));
-        if (f.needs_grid(act)) {
+        if (!f.pairs_with(act)) {
             p.values = Tensor({rows, cols});
             unpack_rows_pow2(bytes, *p.plan, rows, cols, p.values);
         }
@@ -190,12 +189,6 @@ FrozenTensor::pairs_with(const std::optional<core::BdrFormat>& act) const
            is_pow2_block(*act) &&
            gemm::gemm_compatible(core::kernels::make_quant_plan(*act),
                                  p_->operand->plan());
-}
-
-bool
-FrozenTensor::needs_grid(const std::optional<core::BdrFormat>& act) const
-{
-    return !(pairs_with(act) && gemm::packed_profitable());
 }
 
 double

@@ -23,12 +23,11 @@
  * scratch.  The payload is immutable after construction.
  *
  * The FP32 grid tensor is decoded only where a layer reads it.  A
- * frozen Linear whose activation format pairs with the gemm view runs
- * the packed GEMM whenever a SIMD gemm kernel is active, so a snapshot
- * built for it on such a host skips the grid: its weight
- * memory is the packed artifact alone.  Conv2d, Lstm and Embedding
- * read the grid, and so does a Linear that cannot pair or that serves
- * on the scalar kernel.
+ * frozen Linear whose activation format pairs with the gemm view always
+ * runs the packed GEMM, on every kernel, so a snapshot built for it
+ * skips the grid: its weight memory is the packed artifact alone.
+ * Conv2d, Lstm and Embedding read the grid, and so does a Linear that
+ * cannot pair.
  *
  * Freezing requires deterministic rounding: a stochastic-rounding
  * snapshot could never reproduce the per-call result.
@@ -70,8 +69,8 @@ class FrozenTensor
      *                 that reads the snapshot (a Linear's spec.forward);
      *                 nullopt for layers that read only the grid.  The
      *                 FP32 grid is skipped when @p act pairs with the
-     *                 gemm view and a SIMD gemm kernel is active: that
-     *                 matmul then always routes packed (needs_grid).
+     *                 gemm view (pairs_with): that matmul always runs
+     *                 packed.
      */
     static FrozenTensor build(const tensor::Tensor& w,
                               const std::optional<core::BdrFormat>& fmt,
@@ -112,6 +111,8 @@ class FrozenTensor
      * True when a matmul quantizing its activations under @p act can
      * run the packed GEMM on this snapshot: the snapshot has a gemm
      * view and @p act is a pow2-block format whose plan pairs with it.
+     * build() and from_packed() keep the FP32 grid exactly when this is
+     * false for their @p act.
      */
     bool pairs_with(const std::optional<core::BdrFormat>& act) const;
 
@@ -123,7 +124,8 @@ class FrozenTensor
 
     /** The cached serving tensor: bit-identical to
      *  quantize_rows(w, fmt) (or w itself for nullopt).  Empty when
-     *  needs_grid() skipped it; unpacked() rebuilds it on demand. */
+     *  the snapshot pairs with its activation format; unpacked()
+     *  rebuilds it on demand. */
     const tensor::Tensor& values() const { return p_->values; }
 
     /** The freeze format (nullopt = FP32 passthrough). */
@@ -207,11 +209,6 @@ class FrozenTensor
     tensor::Tensor unpacked() const;
 
   private:
-    /** The one grid rule build() and from_packed() share: false only
-     *  for a snapshot read through a matmul that pairs with it (@p act)
-     *  while a SIMD gemm kernel is active. */
-    bool needs_grid(const std::optional<core::BdrFormat>& act) const;
-
     /** The snapshot itself; immutable once built. */
     struct Payload
     {

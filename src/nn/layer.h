@@ -63,8 +63,9 @@ struct Param
  *                   snapshot (LayerNorm, Embedding)
  *  - packed_matmul  the slot's snapshot feeds a matmul that can run
  *                   the packed GEMM under spec->forward (Linear); the
- *                   reader then decodes its FP32 grid only when
- *                   FrozenTensor::needs_grid says the layer reads it
+ *                   reader then decodes its FP32 grid only when the
+ *                   snapshot cannot pair with spec->forward
+ *                   (FrozenTensor::pairs_with)
  */
 struct FrozenStateRef
 {

@@ -51,18 +51,16 @@ Tensor
 Linear::frozen_matmul(const Tensor& x) const
 {
     // Packed-domain path (Figure 6): when the activation format pairs
-    // with the snapshot's gemm-ready view and the layer routes packed
-    // (a SIMD kernel is active, or freeze/load skipped the grid), the
-    // weight matmul runs on the MX bit stream's integer mantissas — no
-    // dequantized FP32 weight copy is touched or allocated.
+    // with the snapshot's gemm-ready view, the weight matmul runs on the
+    // MX bit stream's integer mantissas on every kernel — no dequantized
+    // FP32 weight copy exists.
     if (packed_activation_ready())
         return gemm::matmul_nt_packed(
             x, core::kernels::make_quant_plan(*spec_.forward),
             *frozen_weight_.gemm_operand(), spec_.rounding);
-    // Dequantized-values fallback: Q(W) from the freeze-time grid
-    // tensor; only the activations are quantized per call —
-    // bit-identical to the fake-quant path because quantize_rows is
-    // deterministic.
+    // Formats that cannot pair serve on the freeze-time grid tensor;
+    // only the activations are quantized per call — bit-identical to
+    // the fake-quant path because quantize_rows is deterministic.
     MX_CHECK_ARG(frozen_weight_.values().numel() > 0,
                  "Linear: the snapshot holds no FP32 grid and the spec "
                  "changed to an activation format that cannot pair "
@@ -77,14 +75,13 @@ Linear::frozen_matmul(const Tensor& x) const
 bool
 Linear::packed_activation_ready() const
 {
-    return frozen() && frozen_weight_.pairs_with(spec_.forward) &&
-           gemm::route_packed(frozen_weight_.values().numel() == 0);
+    return frozen() && frozen_weight_.pairs_with(spec_.forward);
 }
 
 Tensor
 Linear::forward_packed_activation(const gemm::PackedOperand& xq)
 {
-    MX_CHECK_ARG(frozen() && frozen_weight_.pairs_with(spec_.forward),
+    MX_CHECK_ARG(packed_activation_ready(),
                  "Linear: forward_packed_activation needs a frozen "
                  "layer whose weight pairs with the activation format");
     MX_CHECK_ARG(xq.cols() == static_cast<std::size_t>(in_),

@@ -43,8 +43,8 @@ class Linear : public Layer
                        std::vector<FrozenStateRef>& out) override;
 
     /** Snapshot Q(W) under the current spec's weight format; the FP32
-     *  grid is kept only if the frozen forward reads it
-     *  (FrozenTensor::needs_grid on the activation format). */
+     *  grid is kept only if the frozen forward reads it (the weight
+     *  cannot pair with the activation format). */
     void freeze() override;
     /** Adopt @p spec, then freeze. */
     void freeze(const QuantSpec& spec) override;
@@ -55,9 +55,9 @@ class Linear : public Layer
     const FrozenTensor& frozen_weight() const { return frozen_weight_; }
 
     /**
-     * True when this layer's frozen forward runs the packed GEMM right
-     * now: frozen, the activation format pairs with the packed weight,
-     * and gemm::route_packed picks it (no grid, or a SIMD kernel).
+     * True when this layer's frozen forward runs the packed GEMM:
+     * frozen, and the activation format pairs with the packed weight
+     * (FrozenTensor::pairs_with), whatever kernel is active.
      * Callers that feed one activation matrix to several layers
      * (attention's wq/wk/wv share the post-LN input) check this on
      * each, quantize once, and hand the packed view to all of them —
@@ -88,8 +88,8 @@ class Linear : public Layer
 
   private:
     /** The frozen weight matmul: packed-domain mx_gemm when the
-     *  snapshot and activation format allow it, dequantized grid
-     *  values otherwise. */
+     *  snapshot pairs with the activation format, grid values
+     *  otherwise. */
     tensor::Tensor frozen_matmul(const tensor::Tensor& x) const;
 
     std::int64_t in_, out_;

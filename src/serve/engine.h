@@ -8,9 +8,9 @@
  * model is frozen once — weights quantized, snapshotted, and packed —
  * and an InferenceEngine then serves single-row requests against it.
  * Frozen weight matmuls inside the batch function execute in the
- * packed domain (gemm/packed_gemm.h) when the routing policy engages
- * it, so engine batches never touch a dequantized FP32 weight copy on
- * the SIMD leg.
+ * packed domain (gemm/packed_gemm.h) whenever the weight pairs with
+ * the activation format, so engine batches never touch a dequantized
+ * FP32 weight copy.
  *
  * The engine owns a bounded request queue, a micro-batcher, and N
  * replica workers: each worker drains up to `max_batch` queued

@@ -7,9 +7,9 @@
  *
  *  1. Round-trip property: every model family (and through them every
  *     layer type), across MX9/MX6/MX4 and both kernel dispatch legs
- *     (and so both serving paths: packed GEMM on SIMD, grid values on
- *     scalar), forwards bit-identically after freeze -> save ->
- *     mmap-load — including ragged row widths, the Table IV
+ *     forwards bit-identically after freeze -> save -> mmap-load, and
+ *     a pairable model serves the same bits whichever leg froze,
+ *     loaded and served it — including ragged row widths, the Table IV
  *     weight/activation split specs, the mixed-precision
  *     keep-edges-FP32 recipe — and a load decodes the FP32 grid only
  *     for the layers that read it.
@@ -30,8 +30,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -197,10 +199,8 @@ token_batch(int n, int seq_len, int vocab, std::uint64_t seed)
 
 TEST(ArtifactRoundTrip, MlpAllFormatsBothLegsBothServePaths)
 {
-    // The dispatch leg picks the serving path (packed GEMM on SIMD,
-    // dequantized values on scalar): whatever path executes, the
-    // original frozen model and its loaded twin hold the same bit
-    // streams, so they must agree exactly.
+    // The original frozen model and its loaded twin hold the same bit
+    // streams, so on either dispatch leg they must agree exactly.
     for_each_dispatch([&](const char* leg) {
         for (const auto& fmt : mx_formats()) {
             models::MlpClassifier mlp(
@@ -469,15 +469,14 @@ namespace {
 
 /**
  * Check a frozen or loaded model's FP32-grid memory shape and return
- * how many packed slots hold no grid.  With a SIMD gemm kernel active
- * (@p simd), a Linear slot whose activation format pairs with its
- * packed weight holds no grid; every other packed slot — Conv2d, Lstm,
- * Embedding, a Linear that cannot pair, anything frozen on the scalar
- * kernel — holds one.
+ * how many packed slots hold no grid.  A Linear slot whose activation
+ * format pairs with its packed weight holds no grid, whichever leg
+ * froze or loaded it; every other packed slot — Conv2d, Lstm,
+ * Embedding, a Linear that cannot pair — holds one.
  */
 template <typename Model>
 std::size_t
-expect_grid_shape(Model& model, bool simd, const std::string& what)
+expect_grid_shape(Model& model, const std::string& what)
 {
     std::vector<nn::FrozenStateRef> refs;
     model.collect_state("", refs);
@@ -489,7 +488,7 @@ expect_grid_shape(Model& model, bool simd, const std::string& what)
         const bool pairs =
             ref.packed_matmul && ref.spec->forward.has_value();
         const bool grid = ref.frozen->values().numel() > 0;
-        EXPECT_EQ(grid, !(simd && pairs)) << what << " " << ref.name;
+        EXPECT_EQ(grid, !pairs) << what << " " << ref.name;
         packed_only += grid ? 0 : 1;
     }
     return packed_only;
@@ -498,9 +497,8 @@ expect_grid_shape(Model& model, bool simd, const std::string& what)
 /**
  * Freeze a model from @p make on each dispatch leg, save it, load it,
  * and check the grid shape of both; then @p serve must find the two
- * bit-identical on both legs — the loaded model on the same packed or
- * grid route as its original.  @p pairable says whether the family has
- * a Linear that pairs with its weight (and so goes grid-free on SIMD).
+ * bit-identical on both legs.  @p pairable says whether the family has
+ * a Linear that pairs with its weight (and so holds no grid).
  */
 template <typename Model, typename Make, typename Serve>
 void
@@ -511,9 +509,10 @@ check_load_keeps_grid_only_where_read(const std::string& family,
     using core::kernels::SimdLevel;
     for (SimdLevel freeze_leg : {SimdLevel::Avx512, SimdLevel::Scalar}) {
         core::kernels::set_simd_level(freeze_leg);
-        const bool simd = gemm::packed_profitable();
         const std::string ctx =
-            family + (simd ? " frozen on SIMD" : " frozen on scalar");
+            family + " frozen on level " +
+            std::to_string(static_cast<int>(
+                core::kernels::active_simd_level()));
         Model model = make();
         model.freeze();
         const std::string path = tmp_path("grid_" + family);
@@ -521,11 +520,9 @@ check_load_keeps_grid_only_where_read(const std::string& family,
         Model loaded = Model::load_frozen(path);
         ASSERT_TRUE(loaded.frozen()) << ctx;
 
-        EXPECT_EQ(expect_grid_shape(model, simd, ctx + " original") > 0,
-                  simd && pairable)
+        EXPECT_EQ(expect_grid_shape(model, ctx + " original") > 0, pairable)
             << ctx;
-        EXPECT_EQ(expect_grid_shape(loaded, simd, ctx + " loaded") > 0,
-                  simd && pairable)
+        EXPECT_EQ(expect_grid_shape(loaded, ctx + " loaded") > 0, pairable)
             << ctx;
 
         for (SimdLevel serve_leg : {SimdLevel::Avx512, SimdLevel::Scalar}) {
@@ -705,6 +702,210 @@ TEST(ArtifactGridShape, DlrmWithMxEmbeddingStorage)
         [&](models::DlrmMini& a, models::DlrmMini& b,
             const std::string& ctx) {
             EXPECT_EQ(a.predict(batch), b.predict(batch)) << ctx;
+        });
+}
+
+// One numerics per artifact: a pairable model serves the same bits
+// whichever leg froze, saved, loaded or serves it.  The inputs spread
+// per-block magnitudes over 2^+-20 at K >= 1024, where an FP64
+// single-rounding matmul and the packed pipeline's per-block FP32
+// accumulation disagree on most outputs — so a leg that served on a
+// different route would show here.
+
+namespace {
+
+using core::kernels::SimdLevel;
+
+/** The SIMD levels this build and host can run (scalar always). */
+std::vector<SimdLevel>
+host_levels()
+{
+    std::vector<SimdLevel> levels = {SimdLevel::Scalar};
+    if (core::kernels::avx2_supported())
+        levels.push_back(SimdLevel::Avx2);
+    if (core::kernels::avx512_supported())
+        levels.push_back(SimdLevel::Avx512);
+    return levels;
+}
+
+std::string
+level_name(SimdLevel level)
+{
+    return level == SimdLevel::Scalar ? "scalar"
+           : level == SimdLevel::Avx2 ? "avx2"
+                                      : "avx512";
+}
+
+bool
+same_bits(const Tensor& a, const Tensor& b)
+{
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) *
+                           sizeof(float)) == 0;
+}
+
+/** Scale each 16-element block of each row of @p t by its own 2^u,
+ *  u ~ U(-span, span). */
+void
+spread_blocks(Tensor& t, double span, stats::Rng& rng)
+{
+    const std::int64_t cols = t.dim(t.ndim() - 1);
+    for (std::int64_t i = 0; i < t.numel(); i += 16) {
+        const float s = static_cast<float>(
+            std::exp2(rng.uniform(-span, span)));
+        for (std::int64_t c = i; c < std::min(i + 16, t.numel()) &&
+                                 c / cols == i / cols;
+             ++c)
+            t.data()[c] *= s;
+    }
+}
+
+/** spread_blocks over 2^+-8 on every 2-d parameter (Linear weights
+ *  and embedding tables): every GEMM then sees wide per-block ranges,
+ *  layer outputs included, which re-quantization would otherwise
+ *  narrow. */
+void
+spread_weights(const std::vector<nn::Param*>& params, std::uint64_t seed)
+{
+    stats::Rng rng(seed);
+    for (nn::Param* p : params)
+        if (p->value.ndim() == 2)
+            spread_blocks(p->value, 8.0, rng);
+}
+
+/** An N(0, 1) [rows x cols] input with spread_blocks over 2^+-20. */
+Tensor
+wide_input(std::int64_t rows, std::int64_t cols, std::uint64_t seed)
+{
+    stats::Rng rng(seed);
+    Tensor x = Tensor::randn({rows, cols}, rng);
+    spread_blocks(x, 20.0, rng);
+    return x;
+}
+
+/**
+ * Freeze a model from @p make on every leg and serve it on every leg;
+ * save it on that leg, then load and serve the artifact on every leg.
+ * Every output must carry the first one's bits.
+ */
+template <typename Model, typename Make, typename Serve>
+void
+expect_one_numerics_per_artifact(const std::string& what, Make make,
+                                 Serve serve)
+{
+    const std::vector<SimdLevel> levels = host_levels();
+    Tensor first;
+    const auto serve_everywhere = [&](Model& model, const std::string& at) {
+        for (SimdLevel serve_leg : levels) {
+            core::kernels::set_simd_level(serve_leg);
+            const Tensor y = serve(model);
+            if (first.numel() == 0) {
+                first = y;
+                for (std::int64_t i = 0; i < y.numel(); ++i)
+                    ASSERT_TRUE(std::isfinite(y.data()[i])) << what;
+            }
+            EXPECT_TRUE(same_bits(first, y))
+                << what << " " << at << ", served on "
+                << level_name(serve_leg);
+        }
+    };
+    for (SimdLevel freeze_leg : levels) {
+        core::kernels::set_simd_level(freeze_leg);
+        Model model = make();
+        model.freeze();
+        const std::string path = tmp_path("legs_" + what);
+        model.save_frozen(path);
+        serve_everywhere(model, "frozen on " + level_name(freeze_leg));
+        for (SimdLevel load_leg : levels) {
+            core::kernels::set_simd_level(load_leg);
+            Model loaded = Model::load_frozen(path);
+            serve_everywhere(loaded, "saved on " + level_name(freeze_leg) +
+                                         ", loaded on " +
+                                         level_name(load_leg));
+        }
+    }
+    core::kernels::reset_simd_level();
+}
+
+} // namespace
+
+TEST(OneNumericsPerArtifact, LinearFreezeLegTimesServeLeg)
+{
+    const Tensor x = wide_input(16, 1024, 90);
+    for (const auto& fmt : mx_formats()) {
+        Tensor first;
+        for (SimdLevel freeze_leg : host_levels()) {
+            core::kernels::set_simd_level(freeze_leg);
+            stats::Rng rng(91);
+            nn::Linear layer(1024, 64, nn::QuantSpec::forward_only(fmt),
+                             rng);
+            layer.freeze();
+            for (SimdLevel serve_leg : host_levels()) {
+                core::kernels::set_simd_level(serve_leg);
+                const Tensor y = layer.forward(x, false);
+                if (first.numel() == 0)
+                    first = y;
+                EXPECT_TRUE(same_bits(first, y))
+                    << fmt.name << " frozen on " << level_name(freeze_leg)
+                    << ", served on " << level_name(serve_leg);
+            }
+        }
+    }
+    core::kernels::reset_simd_level();
+}
+
+TEST(OneNumericsPerArtifact, MlpFreezeLoadAndServeLegs)
+{
+    const Tensor x = wide_input(8, 1024, 92);
+    for (const auto& fmt : mx_formats())
+        expect_one_numerics_per_artifact<models::MlpClassifier>(
+            "mlp_" + fmt.name,
+            [&] {
+                models::MlpClassifier mlp(
+                    1024, {1024}, 8, nn::QuantSpec::forward_only(fmt), 93);
+                spread_weights(mlp.params(), 96);
+                return mlp;
+            },
+            [&](models::MlpClassifier& m) { return m.logits(x, false); });
+}
+
+TEST(OneNumericsPerArtifact, GptFreezeLoadAndServeLegs)
+{
+    // d_model = 256, so the FFN's down projection contracts K = 1024.
+    // The spread embeddings keep wide per-block ranges through every
+    // LayerNorm (it rescales a row, not its blocks).  Both serving
+    // paths run: the fixed-window forward and the fused decode step
+    // over the native K/V cache.
+    models::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.d_model = 256;
+    cfg.heads = 4;
+    cfg.layers = 1;
+    cfg.seq_len = 8;
+    cfg.spec = nn::QuantSpec::forward_only(core::mx9());
+    const data::SequenceBatch batch =
+        token_batch(2, cfg.seq_len, cfg.vocab, 94);
+    const std::vector<std::vector<int>> contexts = {
+        {1, 5, 9, 2, 7}, {3, 3, 8, 0, 11, 4, 6, 15}};
+    expect_one_numerics_per_artifact<models::GptMini>(
+        "gpt",
+        [&] {
+            models::GptMini model(cfg);
+            spread_weights(model.params(), 95);
+            return model;
+        },
+        [&](models::GptMini& m) {
+            const Tensor window = m.logits(batch, false);
+            const Tensor step = m.decode_step(
+                contexts, std::vector<models::GptDecodeSession*>(
+                              contexts.size(), nullptr));
+            Tensor both({window.numel() + step.numel()});
+            std::copy(window.data(), window.data() + window.numel(),
+                      both.data());
+            std::copy(step.data(), step.data() + step.numel(),
+                      both.data() + window.numel());
+            return both;
         });
 }
 

@@ -7,15 +7,15 @@
  * grid values (including ragged row widths whose blocks end in short
  * tails).
  *
- * The packed-domain mx_gemm serving path is pinned separately in
- * tests/test_gemm.cpp (it accumulates across blocks in FP32, so its
- * contract is FP32-accumulation agreement plus QSNR floors, not bit
- * identity).  A frozen Linear takes that path whenever a SIMD gemm
- * kernel is active, so a suite-wide environment pins the scalar
- * kernels: there every frozen layer keeps its FP32 grid and serves on
- * the values path these tests were written for.  Layers that read
- * their grid on every leg (Conv2d, Lstm, Embedding) still run both
- * dispatch legs.
+ * A frozen Linear whose weight pairs with its activation format serves
+ * on the packed-domain mx_gemm path on every kernel; that path is
+ * pinned separately in tests/test_gemm.cpp (it accumulates across
+ * blocks in FP32, so its general contract is FP32-accumulation
+ * agreement plus QSNR floors), and its freeze-leg x serve-leg bit
+ * identity in tests/test_artifact.cpp.  The pairable-Linear cases here
+ * use shapes of at most a few blocks, where both paths give the same
+ * bits.  A suite-wide environment pins the scalar kernels; layers that
+ * read their grid (Conv2d, Lstm, Embedding) run both dispatch legs.
  */
 
 #include <gtest/gtest.h>
@@ -43,8 +43,7 @@ using tensor::Tensor;
 
 namespace {
 
-/** Pin the scalar kernels, and so the dequantized-values serving
- *  path, for the whole suite. */
+/** Pin the scalar kernels for the whole suite. */
 class ValuesPathEnvironment : public ::testing::Environment
 {
   public:
@@ -232,15 +231,12 @@ TEST(FrozenAttention, PackedRouteBitMatchesFakeQuantAtSingleBlockShapes)
     // (one shared scale, one double->float rounding on either path).
     // So the frozen forward on the packed route must match the
     // unfrozen fake-quant forward bit-for-bit, not merely to
-    // accumulation tolerance.  Freezing on the widest level this host
-    // runs skips the projections' grids, so they stay packed on every
-    // gemm kernel, the scalar one included.
+    // accumulation tolerance, on every gemm kernel.
     using core::kernels::SimdLevel;
     for (SimdLevel level :
          {SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Scalar}) {
         for (const auto& fmt : mx_formats()) {
             core::kernels::set_simd_level(SimdLevel::Avx512);
-            const bool simd = gemm::packed_profitable();
             stats::Rng rng(41);
             MultiHeadAttention attn(16, 1, 8, /*causal=*/true,
                                     QuantSpec::forward_only(fmt), rng);
@@ -251,10 +247,8 @@ TEST(FrozenAttention, PackedRouteBitMatchesFakeQuantAtSingleBlockShapes)
             core::kernels::set_simd_level(level);
             const std::uint64_t before = gemm_calls();
             Tensor packed = attn.forward(x, false);
-            if (simd) {
-                EXPECT_GT(gemm_calls(), before)
-                    << "packed route did not engage (" << fmt.name << ")";
-            }
+            EXPECT_GT(gemm_calls(), before)
+                << "packed route did not engage (" << fmt.name << ")";
             EXPECT_EQ(tensor::max_abs_diff(fake, packed), 0.0)
                 << fmt.name << " level=" << static_cast<int>(level);
         }

@@ -18,10 +18,12 @@
  *  - packed execution agrees with the dequantized reference matmul to
  *    FP32-accumulation tolerance, and QSNR vs the FP32 oracle clears
  *    the pinned per-format floor;
- *  - the frozen nn::Linear / nn::MultiHeadAttention serving path
- *    routes through mx_gemm whenever a SIMD gemm kernel is active or
- *    the layer holds no FP32 grid, and a layer frozen with a SIMD
- *    kernel active holds no dequantized weight copy at all.
+ *  - a frozen nn::Linear / nn::MultiHeadAttention whose weight pairs
+ *    with its activation format routes through mx_gemm on every kernel
+ *    and holds no dequantized weight copy, whichever leg froze it;
+ *  - hw::DotProductPipeline, an independently written Figure 6 model,
+ *    agrees bit for bit with single-block GEMMs of every pow2 format in
+ *    the design-space sweep that has a gemm view.
  */
 
 #include <gtest/gtest.h>
@@ -67,6 +69,26 @@ for_each_dispatch(Fn&& body)
         body(leg == 1 ? "scalar" : "default");
     }
     core::kernels::set_force_scalar(false);
+}
+
+/** Run @p body once per SIMD level this host/build can execute,
+ *  pinned via the dispatch test hook; restores the env resolution. */
+template <typename Fn>
+void
+for_each_simd_level(Fn&& body)
+{
+    namespace ck = core::kernels;
+    ck::set_simd_level(ck::SimdLevel::Scalar);
+    body("scalar");
+    if (ck::avx2_supported()) {
+        ck::set_simd_level(ck::SimdLevel::Avx2);
+        body("avx2");
+    }
+    if (ck::avx512_supported()) {
+        ck::set_simd_level(ck::SimdLevel::Avx512);
+        body("avx512");
+    }
+    ck::reset_simd_level();
 }
 
 std::vector<core::BdrFormat>
@@ -244,6 +266,13 @@ TEST(GemmPlan, MismatchedK1AndWideMantissaRejected)
     const QuantPlan wide = make_quant_plan(core::bfp_custom(23, 8, 16));
     EXPECT_FALSE(gemm::operand_eligible(wide));
     EXPECT_FALSE(gemm::gemm_compatible(a, wide));
+
+    // A shift budget whose aligned mantissas would not fit int32 (no
+    // format reaches it: pow2 sub-scales stop at d2 = 4, beta = 15).
+    QuantPlan steep = make_quant_plan(core::mx_custom(2, 8, 16, 4, 2));
+    steep.beta = 30;
+    EXPECT_FALSE(gemm::gemm_compatible(a, steep));
+    EXPECT_THROW(gemm::make_gemm_plan(a, steep), ArgumentError);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,60 +507,45 @@ gemm_calls()
     return obs::counter("gemm.calls").value();
 }
 
-/** Pin the widest SIMD level this host runs (the freeze leg on which a
- *  pairable layer skips its grid); true when that level has a SIMD
- *  gemm kernel. */
-bool
+/** Pin the widest SIMD level this host runs. */
+void
 pin_widest_simd()
 {
     core::kernels::set_simd_level(core::kernels::SimdLevel::Avx512);
-    return gemm::packed_profitable();
 }
 
 } // namespace
 
-TEST(FrozenGemmRouting, PackedWhenSimdIsActiveOrTheGridIsAbsent)
+TEST(FrozenGemmRouting, PairableLinearHoldsNoGridAndServesPackedOnEveryLeg)
 {
+    // One rule, whatever the kernel: a frozen Linear whose weight pairs
+    // with its activation format keeps no FP32 grid and serves through
+    // mx_gemm — so every freeze leg and serve leg give the same bits.
     stats::Rng rng(114);
-    nn::Linear layer(32, 8, nn::QuantSpec::forward_only(core::mx9()),
-                     rng);
-    Tensor x = Tensor::randn({4, 32}, rng);
-
-    // Frozen on the scalar kernel, the layer keeps its grid and serves
-    // on it: there the values matmul beats the scalar packed kernel.
-    core::kernels::set_force_scalar(true);
-    EXPECT_FALSE(gemm::packed_profitable());
-    layer.freeze();
-    EXPECT_GT(layer.frozen_weight().values().numel(), 0);
-    std::uint64_t before = gemm_calls();
-    layer.forward(x, false);
-    EXPECT_EQ(gemm_calls(), before)
-        << "the scalar kernel must serve on the grid";
-
-    if (pin_widest_simd()) {
-        // A SIMD kernel takes the packed path even with a grid present.
-        before = gemm_calls();
-        layer.forward(x, false);
-        EXPECT_GT(gemm_calls(), before);
-        // Re-frozen with it active, the layer holds no grid, so it
-        // stays packed when the scalar kernel comes back.
+    Tensor x = spread_randn(4, 80, rng);
+    Tensor first;
+    for_each_simd_level([&](const char* freeze_leg) {
+        stats::Rng wrng(116);
+        nn::Linear layer(80, 24, nn::QuantSpec::forward_only(core::mx9()),
+                         wrng);
         layer.freeze();
-        EXPECT_EQ(layer.frozen_weight().values().numel(), 0);
-        core::kernels::set_force_scalar(true);
-        before = gemm_calls();
-        layer.forward(x, false);
-        EXPECT_GT(gemm_calls(), before)
-            << "a layer without its grid must take the packed path";
-    }
-    core::kernels::set_force_scalar(false);
+        EXPECT_TRUE(layer.packed_activation_ready()) << freeze_leg;
+        EXPECT_EQ(layer.frozen_weight().values().numel(), 0) << freeze_leg;
+        for_each_simd_level([&](const char* serve_leg) {
+            const std::uint64_t before = gemm_calls();
+            const Tensor y = layer.forward(x, false);
+            EXPECT_EQ(gemm_calls(), before + 1)
+                << "froze on " << freeze_leg << ", served on " << serve_leg;
+            if (first.numel() == 0)
+                first = y;
+            EXPECT_EQ(first_bit_mismatch(first, y), -1)
+                << "froze on " << freeze_leg << ", served on " << serve_leg;
+        });
+    });
 }
 
 TEST(FrozenGemmRouting, LinearWithoutTheGridServesPackedOnEveryKernel)
 {
-    if (!pin_widest_simd()) {
-        core::kernels::set_force_scalar(false);
-        GTEST_SKIP() << "no SIMD gemm kernel: every freeze keeps the grid";
-    }
     for (const auto& fmt : mx_formats()) {
         for (std::int64_t in : {32, 19}) {
             pin_widest_simd();
@@ -569,29 +583,8 @@ TEST(FrozenGemmRouting, LinearWithoutTheGridServesPackedOnEveryKernel)
     }
 }
 
-TEST(FrozenGemmRouting, ScalarKernelServesTheGridBitIdentically)
-{
-    core::kernels::set_force_scalar(true);
-    for (const auto& fmt : mx_formats()) {
-        stats::Rng rng(110);
-        nn::Linear layer(48, 8, nn::QuantSpec::forward_only(fmt), rng);
-        Tensor x = Tensor::randn({4, 48}, rng, 2.0f);
-        Tensor fake = layer.forward(x, false);
-        layer.freeze();
-        const std::uint64_t before = gemm_calls();
-        Tensor frozen = layer.forward(x, false);
-        EXPECT_EQ(gemm_calls(), before) << "the values route was not taken";
-        EXPECT_EQ(tensor::max_abs_diff(fake, frozen), 0.0) << fmt.name;
-    }
-    core::kernels::set_force_scalar(false);
-}
-
 TEST(FrozenGemmRouting, AttentionProjectionsRideThePackedPath)
 {
-    if (!pin_widest_simd()) {
-        core::kernels::set_force_scalar(false);
-        GTEST_SKIP() << "no SIMD gemm kernel: every freeze keeps the grid";
-    }
     stats::Rng rng(111);
     nn::MultiHeadAttention attn(32, 2, 8, /*causal=*/true,
                                 nn::QuantSpec::forward_only(core::mx9()),
@@ -1013,26 +1006,6 @@ class ScopedGemmThreads
     }
     ~ScopedGemmThreads() { gemm::set_gemm_threads(0); }
 };
-
-/** Run @p body once per SIMD level this host/build can execute,
- *  pinned via the dispatch test hook; restores the env resolution. */
-template <typename Fn>
-void
-for_each_simd_level(Fn&& body)
-{
-    namespace ck = core::kernels;
-    ck::set_simd_level(ck::SimdLevel::Scalar);
-    body("scalar");
-    if (ck::avx2_supported()) {
-        ck::set_simd_level(ck::SimdLevel::Avx2);
-        body("avx2");
-    }
-    if (ck::avx512_supported()) {
-        ck::set_simd_level(ck::SimdLevel::Avx512);
-        body("avx512");
-    }
-    ck::reset_simd_level();
-}
 
 /** Shapes that cross the tile grid: rows past kTileRowsA = 64, cols
  *  past kTileRowsB = 32, ragged contraction tails, exact boundaries. */
@@ -1540,21 +1513,62 @@ TEST(PipelineOracle, MultiBlockGemmEqualsTheAscendingSumOfPipelineBlocks)
     });
 }
 
+TEST(PipelineOracle, SingleBlockGemmOfEverySweepFormatEqualsThePipeline)
+{
+    // The scalar kernel is the reference every leg matches, and it is
+    // what SIMD legs fall back to off their fast path (k1 != 16, d2 = 0
+    // sides, wide mantissas).  So check it against the pipeline across
+    // the whole design-space sweep: one k1 block per output, where the
+    // pipeline's value rounded to float is the GEMM contract's result.
+    core::kernels::set_simd_level(core::kernels::SimdLevel::Scalar);
+    stats::Rng rng(152);
+    std::size_t formats = 0;
+    for (const core::BdrFormat& fmt :
+         sweep::enumerate_formats(sweep::SweepSpec{})) {
+        if (fmt.elem != core::ElementKind::SignMagnitude ||
+            fmt.s_kind != core::ScaleKind::Pow2Hw)
+            continue;
+        const QuantPlan plan = make_quant_plan(fmt);
+        if (!gemm::gemm_compatible(plan, plan))
+            continue;
+        ++formats;
+        const hw::DotProductPipeline pipe({fmt, plan.k1, 56});
+        const std::int64_t m = 2, n = 3, k = plan.k1;
+        for (const NamedGenerator& gen : kGenerators) {
+            Tensor x = gen.make(m, k, rng);
+            Tensor y = gen.make(n, k, rng);
+            Tensor got = gemm::matmul_nt_packed2(x, plan, y, plan);
+            Tensor want({m, n});
+            for (std::int64_t i = 0; i < m; ++i)
+                for (std::int64_t j = 0; j < n; ++j) {
+                    const hw::PipelineResult r = pipe.run(
+                        std::span<const float>(x.data() + i * k,
+                                               static_cast<std::size_t>(k)),
+                        std::span<const float>(y.data() + j * k,
+                                               static_cast<std::size_t>(k)));
+                    EXPECT_EQ(r.truncated_bits, 0) << fmt.summary();
+                    want.data()[i * n + j] = static_cast<float>(r.value);
+                }
+            EXPECT_EQ(first_bit_mismatch(got, want), -1)
+                << gen.name << " " << fmt.summary();
+        }
+    }
+    EXPECT_GE(formats, 800u) << "the sweep lost its pow2 formats";
+    core::kernels::reset_simd_level();
+}
+
 TEST(KernelDispatch, SimdLevelSelectsTheGemmKernel)
 {
     namespace ck = core::kernels;
     ck::set_simd_level(ck::SimdLevel::Scalar);
     EXPECT_STREQ(gemm::active_gemm_kernel().name(), "scalar");
-    EXPECT_FALSE(gemm::packed_profitable());
     if (ck::avx2_supported()) {
         ck::set_simd_level(ck::SimdLevel::Avx2);
         EXPECT_STREQ(gemm::active_gemm_kernel().name(), "avx2");
-        EXPECT_TRUE(gemm::packed_profitable());
     }
     if (ck::avx512_supported()) {
         ck::set_simd_level(ck::SimdLevel::Avx512);
         EXPECT_STREQ(gemm::active_gemm_kernel().name(), "avx512");
-        EXPECT_TRUE(gemm::packed_profitable());
     }
     // The hook caps at the host ceiling: asking for AVX-512 anywhere
     // resolves to a kernel this machine can actually execute.

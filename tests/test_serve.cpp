@@ -572,11 +572,9 @@ TEST(DecodeSession, PrefixReuseIsBitIdenticalAcrossLegsAndModes)
 {
     // The decode contract: a warm session (prefix reuse) produces the
     // same bits as a cold full recompute, for every dispatch leg the
-    // model is frozen on and served on (frozen on SIMD, the
-    // projections hold no grid and run packed even on the scalar leg;
-    // frozen on scalar, they serve on the grid until a SIMD leg routes
-    // them packed) — and the full-window cold path matches
-    // window_logits exactly.
+    // model is frozen on and served on (the projections hold no grid
+    // and run packed on every leg) — and the full-window cold path
+    // matches window_logits exactly.
     for (bool freeze_scalar : {false, true}) {
         for (bool serve_scalar : {false, true}) {
             core::kernels::set_force_scalar(freeze_scalar);
@@ -745,7 +743,7 @@ TEST(DecodeSession, NativeCachePinsEveryMxFormatAcrossLegsAndModes)
 {
     // The native MX K/V cache engages for every pow2-block format —
     // not just MX9 — on every leg the model is frozen and served on
-    // (storage does not depend on the leg; only execution routes).
+    // (neither storage nor execution depends on the leg).
     // Warm decode must equal cold recompute bit-for-bit throughout.
     for (const auto& fmt : {core::mx9(), core::mx6(), core::mx4()}) {
         for (bool freeze_scalar : {false, true}) {
@@ -1362,4 +1360,71 @@ TEST(DecodeStep, FullWindowMatchesTheFixedWindowForward)
         }
     }
     core::kernels::reset_simd_level();
+}
+
+TEST(DecodeStep, UnfrozenMxDecodeMatchesTheWindowForwardAndWarmEqualsCold)
+{
+    // Unfrozen layers decode on the FP32 K/V rows, re-quantized on use
+    // (the native packed cache is a frozen layer's storage).  The
+    // full-window oracle and warm == cold must hold there too, for
+    // every MX format on every leg.
+    for (core::kernels::SimdLevel level : available_levels()) {
+        core::kernels::set_simd_level(level);
+        for (const auto& fmt : {core::mx9(), core::mx6(), core::mx4()}) {
+            models::GptMini model = make_decode_gpt_fmt(fmt, 40, 1);
+            model.unfreeze();
+            const std::string at = fmt.name + " leg " +
+                                   std::to_string(static_cast<int>(level));
+            std::vector<std::vector<int>> windows;
+            for (int w = 0; w < 2; ++w)
+                windows.push_back(context_of(model, 40, 2 * w + 3, w));
+            const Tensor oracle =
+                model.window_logits(decode_rows(windows, 40));
+            const Tensor fused = model.decode_step(
+                windows, std::vector<models::GptDecodeSession*>(
+                             windows.size(), nullptr));
+            EXPECT_TRUE(same_bits(fused.data(), oracle.data(),
+                                  static_cast<std::size_t>(oracle.numel())))
+                << at;
+
+            // Warm: one session grown a token at a time past two V
+            // slab boundaries; cold: every prefix recomputed.
+            models::GptDecodeSession session;
+            const int vocab = model.config().vocab;
+            for (std::size_t n = 1; n <= windows[0].size(); ++n) {
+                const std::vector<int> prefix(
+                    windows[0].begin(),
+                    windows[0].begin() + static_cast<std::ptrdiff_t>(n));
+                const Tensor warm = model.decode_logits(prefix, &session);
+                const Tensor cold = model.decode_logits(prefix);
+                EXPECT_TRUE(same_bits(warm.data(), cold.data(),
+                                      static_cast<std::size_t>(vocab)))
+                    << at << " prefix " << n;
+            }
+            ASSERT_EQ(session.layers.size(), 1u);
+            EXPECT_FALSE(session.layers[0].native) << at;
+        }
+    }
+    core::kernels::reset_simd_level();
+}
+
+TEST(DecodeStep, SessionsDoNotCrossAFreezeOrUnfreeze)
+{
+    // A session's K/V storage follows the layer's frozen state when it
+    // starts (packed streams when frozen, FP32 rows when not) and
+    // cannot be converted, so continuing it across unfreeze() or
+    // freeze() is an argument error, like any other cache drift.
+    models::GptMini model = make_decode_gpt_fmt(core::mx9(), 8, 1);
+    const std::vector<int> tokens = {1, 2, 3};
+    models::GptDecodeSession native;
+    model.decode_logits(tokens, &native);
+    ASSERT_TRUE(native.layers[0].native);
+    model.unfreeze();
+    EXPECT_THROW(model.decode_logits({1, 2, 3, 4}, &native), ArgumentError);
+
+    models::GptDecodeSession rows;
+    model.decode_logits(tokens, &rows);
+    ASSERT_FALSE(rows.layers[0].native);
+    model.freeze();
+    EXPECT_THROW(model.decode_logits({1, 2, 3, 4}, &rows), ArgumentError);
 }
