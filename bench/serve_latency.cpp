@@ -6,10 +6,9 @@
  * path snapshots Q(W) once and the serve engine coalesces requests
  * into micro-batches.  Reports single-stream throughput for both modes
  * plus engine throughput, p50/p99 request latency and the coalesced
- * batch-size profile; a replica sweep (frozen snapshots are shared
- * handles, so N workers cost N eval scratches, not N weight copies);
- * and the decode-session comparison (warm prefix reuse vs recomputing
- * every visible position per token).  Into BENCH_serve_latency.json.
+ * batch-size profile; and the decode-session comparison (warm prefix
+ * reuse vs recomputing every visible position per token).  Into
+ * BENCH_serve_latency.json.
  *
  *   $ ./bench/serve_latency
  */
@@ -18,7 +17,6 @@
 #include <cstdio>
 #include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "artifact/reader.h"
@@ -227,53 +225,6 @@ main()
     ok = ok && obs_ok;
 
     // ------------------------------------------------------------------
-    // Replica sweep: N workers over the one bounded queue, each serving
-    // the same frozen model (eval forwards are mutation-free; the
-    // FrozenTensor snapshots are shared handles).  Per-batch pool
-    // sharding stays off — the replica is the parallelism unit.
-    // ------------------------------------------------------------------
-    bench::banner("MLP serving: replica sweep (MX_SERVE_REPLICAS)");
-    const std::size_t hardware_lanes =
-        std::max(1u, std::thread::hardware_concurrency());
-    auto run_replicas = [&](std::size_t replicas) {
-        serve::EngineConfig rc;
-        rc.replicas = replicas;
-        rc.queue_capacity = 256;
-        serve::InferenceEngine engine(
-            [&](const Tensor& batch) { return mlp.logits(batch, false); },
-            mlp_in, rc);
-        const double wall = run_engine(engine, mlp_rows);
-        return static_cast<double>(mlp_requests) / wall;
-    };
-    const double mlp_r1 = run_replicas(1);
-    const double mlp_r2 = run_replicas(2);
-    const double mlp_r4 = run_replicas(4);
-    std::printf("  %zu hardware lanes\n", hardware_lanes);
-    std::printf("  1 replica  : %10.1f rows/s\n", mlp_r1);
-    std::printf("  2 replicas : %10.1f rows/s  (%.2fx)\n", mlp_r2,
-                mlp_r2 / mlp_r1);
-    std::printf("  4 replicas : %10.1f rows/s  (%.2fx)\n", mlp_r4,
-                mlp_r4 / mlp_r1);
-    report.metric("hardware_lanes", static_cast<double>(hardware_lanes),
-                  "threads");
-    report.metric("serve_mlp_replica1_items_per_sec", mlp_r1, "rows/s");
-    report.metric("serve_mlp_replica2_items_per_sec", mlp_r2, "rows/s");
-    report.metric("serve_mlp_replica4_items_per_sec", mlp_r4, "rows/s");
-    report.metric("mlp_replica4_scaling", mlp_r4 / mlp_r1, "x");
-
-    // Replication must never *cost* throughput (lock contention on the
-    // queue/stats mutex would); the near-linear-scaling claim needs
-    // spare physical lanes and is only recorded where they exist.
-    const bool replicas_ok = mlp_r4 >= 0.70 * mlp_r1;
-    report.flag("mlp_replicas4_not_slower", replicas_ok);
-    ok = ok && replicas_ok;
-    if (hardware_lanes >= 6) {
-        const bool scaling_ok = mlp_r4 >= 2.5 * mlp_r1;
-        report.flag("mlp_replicas4_ge_2_5x_replica1", scaling_ok);
-        ok = ok && scaling_ok;
-    }
-
-    // ------------------------------------------------------------------
     // Transformer workload: one decode window per request (Table IV
     // generative serving).  The forward is matmul-bound (seq_len rows
     // amortize each weight), so the frozen win is smaller than the
@@ -421,7 +372,7 @@ main()
     auto [cold_tps, cold_ctx] = decode_direct(false);
     auto [warm_tps, warm_ctx] = decode_direct(true);
 
-    // The full serving stack: replicated engine + session-aware batch
+    // The full serving stack: the engine + session-aware batch
     // function + LRU session cache.
     double engine_warm_tps = 0;
     {

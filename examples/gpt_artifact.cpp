@@ -11,16 +11,14 @@
  *
  *   $ ./examples/gpt_artifact serve model.mxfrozen
  *       A *different process*: mmaps the artifact read-only, loads
- *       MX_SERVE_REPLICAS replicas that all share the single mapping,
- *       serves the same greedy decode through the batched
- *       InferenceEngine, and verifies it reproduces the export-side
- *       tokens bit-for-bit (exit 1 on any divergence).
+ *       two models that share the single mapping, serves the same
+ *       greedy decode through the batched InferenceEngine, and
+ *       verifies it reproduces the export-side tokens bit-for-bit
+ *       (exit 1 on any divergence).
  *
  * Together the two invocations are the artifact contract end to end:
  * quantize+pack on one machine, serve the exact same bits on another,
  * with cold start skipping the entire quantize/pack step.
- *
- * Knob: MX_SERVE_REPLICAS (serve-side worker count, default 2).
  */
 
 #include <cstdio>
@@ -126,39 +124,31 @@ run_serve(const std::string& path)
                 reader.mmapped() ? "mmapped read-only"
                                  : "read into memory");
 
-    // N replicas from the ONE reader: every loaded FrozenTensor views
-    // the same mapping, so replica count does not multiply weight
-    // memory (or cold-start quantize work — there is none).
-    std::size_t replicas = serve::EngineConfig::default_replicas();
-    if (replicas < 2)
-        replicas = 2;
-    std::vector<GptMini> models;
-    models.reserve(replicas);
-    for (std::size_t r = 0; r < replicas; ++r)
-        models.push_back(GptMini::load_frozen(reader));
-    const TransformerConfig cfg = models.front().config();
-    std::printf("loaded %zu replicas sharing the mapping\n", replicas);
+    // Two models from the ONE reader: every loaded FrozenTensor views
+    // the same mapping, so another model costs its eval scratch, not a
+    // copy of the weights (or cold-start quantize work — there is
+    // none).  The engine serves the first; its workers share it.
+    GptMini model = GptMini::load_frozen(reader);
+    [[maybe_unused]] const GptMini twin = GptMini::load_frozen(reader);
+    const TransformerConfig cfg = model.config();
+    std::printf("loaded 2 models sharing the %zu-byte mapping\n",
+                reader.file_size());
 
-    serve::EngineConfig ecfg;
-    ecfg.replicas = replicas;
+    // Sessionless decode rows: unpack each request's context and
+    // compute the batch's next-token logits from scratch in one fused
+    // step.
     serve::InferenceEngine engine(
-        [&models, &cfg](std::size_t r) -> serve::InferenceEngine::BatchFn {
-            GptMini* m = &models[r % models.size()];
-            // Sessionless decode rows: unpack each request's context
-            // and compute the batch's next-token logits from scratch
-            // in one fused step.
-            return [m, &cfg](const Tensor& rows) {
-                std::vector<std::vector<int>> contexts;
-                for (std::int64_t i = 0; i < rows.dim(0); ++i)
-                    contexts.push_back(GptMini::unpack_decode_row(
-                        rows.data() + i * cfg.seq_len, cfg.seq_len,
-                        cfg.vocab));
-                return m->decode_step(
-                    contexts, std::vector<GptDecodeSession*>(
-                                  contexts.size(), nullptr));
-            };
+        [&model, &cfg](const Tensor& rows) {
+            std::vector<std::vector<int>> contexts;
+            for (std::int64_t i = 0; i < rows.dim(0); ++i)
+                contexts.push_back(GptMini::unpack_decode_row(
+                    rows.data() + i * cfg.seq_len, cfg.seq_len,
+                    cfg.vocab));
+            return model.decode_step(
+                contexts, std::vector<GptDecodeSession*>(
+                              contexts.size(), nullptr));
         },
-        cfg.seq_len, ecfg);
+        cfg.seq_len);
 
     const std::vector<int> tokens =
         greedy_decode(cfg, [&](const std::vector<int>& context) {

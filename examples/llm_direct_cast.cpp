@@ -12,7 +12,7 @@
  * while decoding stops paying the weight-quantize tax every step.
  *
  * The decode-session epilogue serves *growing* contexts through a
- * replicated engine with a per-stream prefix cache: each step reuses
+ * batched engine with a per-stream prefix cache: each step reuses
  * the per-layer K/V rows of the unchanged context prefix and computes
  * only the new token's column (serve/session_cache.h) — bit-identical
  * to recomputing every visible position, several times faster.
@@ -20,8 +20,8 @@
  *   $ ./examples/llm_direct_cast
  *
  * Knobs: MX_SERVE_BATCH (max coalesced rows), MX_SERVE_QUEUE (bounded
- * queue capacity), MX_SERVE_REPLICAS (worker count), MX_SERVE_SESSIONS
- * (decode prefix-cache capacity; 0 disables).
+ * queue capacity), MX_SERVE_SESSIONS (decode prefix-cache capacity;
+ * 0 disables).
  */
 
 #include <algorithm>
@@ -195,7 +195,7 @@ main()
         std::printf("%d ", c0[i]);
 
     // --- Decode sessions: grow fresh contexts from short prompts, one
-    // request per new token, served by a replicated engine whose batch
+    // request per new token, served by the batched engine whose batch
     // function reuses each stream's cached K/V prefix.  Disabling the
     // session cache (MX_SERVE_SESSIONS=0) recomputes every visible
     // position instead — same bits, more work; we run both to show it.
@@ -214,11 +214,8 @@ main()
     }
     auto decode_streams = [&](bool warm) {
         serve::SessionCache sessions(warm ? 16 : 0);
-        serve::EngineConfig ec;
-        ec.replicas = 2; // frozen eval forwards are concurrency-safe
         serve::InferenceEngine engine(
-            models::gpt_decode_batch_fn(model, sessions), cfg.seq_len,
-            ec);
+            models::gpt_decode_batch_fn(model, sessions), cfg.seq_len);
         auto ctx = prompts;
         int tokens = 0;
         const double t0 = now_sec();
@@ -242,9 +239,8 @@ main()
     };
     auto [cold_tps, cold_streams] = decode_streams(false);
     auto [warm_tps, warm_streams] = decode_streams(true);
-    std::printf("\n\ndecode sessions (%d streams, %d replicas, growing "
-                "contexts):\n",
-                session_streams, 2);
+    std::printf("\n\ndecode sessions (%d streams, growing contexts):\n",
+                session_streams);
     std::printf("  cache off (recompute)  : %8.1f tokens/s\n", cold_tps);
     std::printf("  warm prefix reuse      : %8.1f tokens/s  (%.2fx)\n",
                 warm_tps, warm_tps / cold_tps);

@@ -11,7 +11,7 @@ nor clang-tidy can see — the rules ARCHITECTURE.md promises:
                 string-valued vars like MX_BENCH_OUT_DIR directly —
                 only src/ ships.
   thread-door   std::thread / <thread> only in core/thread_pool.*
-                (the compute pool) and serve/engine.* (the replica
+                (the compute pool) and serve/engine.* (the engine
                 workers) — everything else parallelizes through them.
   simd-tu       <immintrin.h> / _mm* intrinsics only in avx2_*/avx512_*
                 TUs, the ones CMake compiles with the matching -m
@@ -164,7 +164,7 @@ def rule_thread_door(path, code, _raw):
     hits += _matches(r"#\s*include\s*<thread>", code)
     return [(ln, f"'{tok}': spawn through core::ThreadPool "
                  "(raw std::thread is confined to core/thread_pool.* "
-                 "and the serve/engine.* replica workers)")
+                 "and the serve/engine.* workers)")
             for ln, tok in sorted(hits)]
 
 

@@ -10,7 +10,7 @@
  * streams plus the manifest needed to rebuild every FrozenTensor
  * handle, and a serving process mmaps the file read-only and
  * materializes handles whose payloads point straight into the mapping
- * — N replicas (serve/engine.h) share the one mapping, and cold start
+ * — N loaded models share the one mapping, and cold start
  * skips quantize+pack entirely.
  *
  * ## Layout (version 1, all integers little-endian)

@@ -17,7 +17,7 @@
  * mapped bytes and pins the mapping alive (nn::FrozenTensor::
  * from_packed), and the handle is cached — so every model loaded from
  * one reader shares the SAME payload (shares_payload_with() holds
- * across models), and N serve replicas share the single mapping.
+ * across models), and N loaded models share the single mapping.
  *
  * Rounding invariant (the load half — the freeze half lives in
  * nn::FrozenTensor::build): entry validation rejects any stochastic
@@ -88,7 +88,7 @@ class ArtifactReader
      */
     void load_into(const std::vector<nn::FrozenStateRef>& refs) const;
 
-    /** Mapped file size in bytes (the memory N replicas share). */
+    /** Mapped file size in bytes (the memory N loaded models share). */
     std::size_t file_size() const;
 
     /** True when the file is served by mmap (false on the non-POSIX

@@ -20,7 +20,7 @@
  *
  * Knobs routed through here: MX_THREADS, MX_FORCE_SCALAR,
  * MX_FORCE_AVX2, MX_GEMM_THREADS, MX_SERVE_BATCH, MX_SERVE_QUEUE,
- * MX_SERVE_REPLICAS, MX_SERVE_SESSIONS.  The environment is re-read on every call (knob
+ * MX_SERVE_SESSIONS.  The environment is re-read on every call (knob
  * caching, where wanted, is the call site's business — and several
  * tests re-point knobs mid-process).
  */

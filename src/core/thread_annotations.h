@@ -7,7 +7,7 @@
  * discipline.
  *
  * The serving stack's concurrency (core::ThreadPool lanes,
- * serve::InferenceEngine replicas, serve::SessionCache checkout,
+ * serve::InferenceEngine workers, serve::SessionCache checkout,
  * mx_obs rings/registry) obeys a small lock graph that PRs 5-9 built
  * up and the TSan CI leg checks dynamically.  This header makes the
  * same discipline checkable *statically*: every mutex-protected field

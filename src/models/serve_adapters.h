@@ -35,7 +35,7 @@ namespace models {
  *     was.
  *  2. Every row's GptDecodeSession is checked out of @p cache
  *     (checkout semantics — see serve/session_cache.h), so the
- *     function is safe on any replica count.  Rows tagged session 0,
+ *     function is safe on any worker count.  Rows tagged session 0,
  *     a disabled cache, or a cache miss take the bit-identical
  *     full-recompute path.
  *  3. One decode_step; then every session is put back.  If the step
@@ -49,7 +49,7 @@ namespace models {
  *
  * @p model and @p cache must outlive the engine.  The model's eval
  * forward is mutation-free, so one model instance serves every
- * replica.
+ * engine worker.
  */
 inline serve::InferenceEngine::SessionBatchFn
 gpt_decode_batch_fn(GptMini& model, serve::SessionCache& cache)

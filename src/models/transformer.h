@@ -288,7 +288,7 @@ class GptMini
 
     /** Rebuild a serve-ready model from an opened artifact: every
      *  FrozenTensor handle views the reader's single mapping, so N
-     *  models (serve replicas) loaded from one reader share it. */
+     *  models loaded from one reader share it. */
     static GptMini load_frozen(const artifact::ArtifactReader& reader);
 
     /** Open @p path and load. */

@@ -18,9 +18,9 @@
  * A FrozenTensor is a *shareable handle*: the snapshot artifacts live
  * in one immutable payload behind a shared_ptr, so copying a
  * FrozenTensor is O(1) and copies alias the same packed weight bytes.
- * This is what makes replica serving cheap (serve/engine.h): N model
- * clones share every frozen artifact and own only their mutable eval
- * scratch.  The payload is immutable after construction.
+ * This is what makes model clones cheap: N clones (or N models loaded
+ * from one artifact) share every frozen artifact and own only their
+ * mutable eval scratch.  The payload is immutable after construction.
  *
  * The FP32 grid tensor is decoded only where a layer reads it.  A
  * frozen Linear whose activation format pairs with the gemm view always
@@ -189,7 +189,7 @@ class FrozenTensor
     std::int64_t rows() const { return p_->rows; }
     std::int64_t cols() const { return p_->cols; }
 
-    /** True when this handle and @p other alias one payload (replica
+    /** True when this handle and @p other alias one payload (model
      *  clones sharing the packed artifacts). */
     bool shares_payload_with(const FrozenTensor& other) const
     {

@@ -303,7 +303,7 @@ class Span
 };
 
 /**
- * Name the calling thread in trace exports ("serve-replica-0",
+ * Name the calling thread in trace exports ("serve-worker-0",
  * "pool-worker").  No-op while tracing is disabled (buffers only exist
  * when spans record).
  */

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/env.h"
+#include "core/thread_pool.h"
 
 namespace mx {
 namespace serve {
@@ -28,6 +29,30 @@ ns_between(std::chrono::steady_clock::time_point a,
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
             .count();
     return d > 0 ? static_cast<std::uint64_t>(d) : 0;
+}
+
+/**
+ * Workers for an engine that does not shard its batches.  bench/e2e,
+ * 5 alternating 12 s pairs per workload (4 shared AVX-512 vCPUs), one
+ * worker vs two, every reply checked bit for bit:
+ *  - gpt_prefill: 3,308 -> 5,092 prompt tok/s (5/5 pairs), TTFT p50
+ *    111.6 -> 70.3 ms, peak RSS 45.0 -> 46.7 MB.  48-row prompts never
+ *    share an A tile, so GptMini::decode_step runs their passes one
+ *    after another; a second worker overlaps their serial phases.
+ *  - gpt_decode: 1,722 -> 1,780 tok/s (4/5 pairs, within noise).
+ *  - 3 or 4 workers read 4,224-4,396 on gpt_prefill, below two.
+ * A row-sharded batch already spans every pool lane, and a second
+ * worker measured slower on mlp_open (3/3 pairs), so sharded engines
+ * run one.
+ */
+constexpr std::size_t kUnshardedWorkers = 2;
+
+std::size_t
+worker_count(const EngineConfig& cfg)
+{
+    if (cfg.rows_independent || core::ThreadPool::shared().thread_count() <= 1)
+        return 1;
+    return kUnshardedWorkers;
 }
 
 /** EngineStats percentile summary from an engine-owned histogram. */
@@ -57,12 +82,6 @@ EngineConfig::default_queue_capacity()
     return core::env::size_knob("MX_SERVE_QUEUE", 256);
 }
 
-std::size_t
-EngineConfig::default_replicas()
-{
-    return core::env::size_knob("MX_SERVE_REPLICAS", 1);
-}
-
 double
 EngineStats::mean_batch_rows() const
 {
@@ -79,10 +98,12 @@ EngineStats::mean_batch_rows() const
 namespace {
 
 /** Adapt a sessionless batch function to the session-aware signature
- *  every worker executes. */
+ *  every worker executes (null stays null, for the constructor check). */
 InferenceEngine::SessionBatchFn
 ignore_sessions(InferenceEngine::BatchFn fn)
 {
+    if (fn == nullptr)
+        return nullptr;
     return [fn = std::move(fn)](const Tensor& in,
                                 const std::vector<std::uint64_t>&) {
         return fn(in);
@@ -93,67 +114,26 @@ ignore_sessions(InferenceEngine::BatchFn fn)
 
 InferenceEngine::InferenceEngine(BatchFn fn, std::int64_t in_dim,
                                  EngineConfig cfg)
-    : in_dim_(in_dim)
+    : InferenceEngine(ignore_sessions(std::move(fn)), in_dim, cfg)
 {
-    MX_CHECK_ARG(fn != nullptr, "InferenceEngine: null batch function");
-    // One function, every replica: callers declare concurrent safety
-    // implicitly by configuring replicas > 1 (frozen mx eval forwards
-    // are mutation-free, so this is the common case).
-    const SessionBatchFn wrapped = ignore_sessions(std::move(fn));
-    start([&wrapped](std::size_t) { return wrapped; }, cfg);
 }
 
 InferenceEngine::InferenceEngine(SessionBatchFn fn, std::int64_t in_dim,
                                  EngineConfig cfg)
-    : in_dim_(in_dim)
+    : fn_(std::move(fn)), in_dim_(in_dim), cfg_(cfg)
 {
-    MX_CHECK_ARG(fn != nullptr, "InferenceEngine: null batch function");
-    start([&fn](std::size_t) { return fn; }, cfg);
-}
-
-InferenceEngine::InferenceEngine(ReplicaFactory make, std::int64_t in_dim,
-                                 EngineConfig cfg)
-    : in_dim_(in_dim)
-{
-    MX_CHECK_ARG(make != nullptr, "InferenceEngine: null replica factory");
-    start(
-        [&make](std::size_t r) {
-            BatchFn fn = make(r);
-            MX_CHECK_ARG(fn != nullptr,
-                         "InferenceEngine: replica factory returned a "
-                         "null batch function for replica " << r);
-            return ignore_sessions(std::move(fn));
-        },
-        cfg);
-}
-
-void
-InferenceEngine::start(
-    const std::function<SessionBatchFn(std::size_t)>& make,
-    EngineConfig cfg)
-{
+    MX_CHECK_ARG(fn_ != nullptr, "InferenceEngine: null batch function");
     MX_CHECK_ARG(in_dim_ >= 1, "InferenceEngine: bad input width");
-    cfg_ = cfg;
     if (cfg_.max_batch == 0)
         cfg_.max_batch = EngineConfig::default_max_batch();
     if (cfg_.queue_capacity == 0)
         cfg_.queue_capacity = EngineConfig::default_queue_capacity();
-    if (cfg_.replicas == 0)
-        cfg_.replicas = EngineConfig::default_replicas();
-    if (cfg_.pool == nullptr)
-        cfg_.pool = &core::ThreadPool::shared();
     stats_.batch_size_hist.assign(cfg_.max_batch + 1, 0);
-    stats_.replicas = cfg_.replicas;
 
-    // Fully populate the per-replica functions BEFORE any worker
-    // spawns: worker_loop reads replica_fns_ unsynchronized.
-    replica_fns_.reserve(cfg_.replicas);
-    for (std::size_t r = 0; r < cfg_.replicas; ++r)
-        replica_fns_.push_back(make(r));
-
-    workers_.reserve(cfg_.replicas);
-    for (std::size_t r = 0; r < cfg_.replicas; ++r)
-        workers_.emplace_back([this, r] { worker_loop(r); });
+    const std::size_t n = worker_count(cfg_);
+    workers_.reserve(n);
+    for (std::size_t w = 0; w < n; ++w)
+        workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 InferenceEngine::~InferenceEngine()
@@ -213,7 +193,7 @@ InferenceEngine::submit(std::vector<float> row, std::uint64_t session)
 void
 InferenceEngine::drain()
 {
-    // `busy_workers_` counts replicas that popped a batch and have not
+    // `busy_workers_` counts workers that popped a batch and have not
     // finished executing it: with N workers, an empty queue alone does
     // not mean every accepted request completed.
     core::UniqueLock lk(mu_);
@@ -239,12 +219,11 @@ InferenceEngine::stats() const
 }
 
 void
-InferenceEngine::worker_loop(std::size_t replica)
+InferenceEngine::worker_loop(std::size_t worker)
 {
     char name[32];
-    std::snprintf(name, sizeof name, "serve-replica-%zu", replica);
+    std::snprintf(name, sizeof name, "serve-worker-%zu", worker);
     obs::set_thread_name(name);
-    const SessionBatchFn& fn = replica_fns_[replica];
     for (;;) {
         std::vector<Pending> batch;
         {
@@ -263,7 +242,7 @@ InferenceEngine::worker_loop(std::size_t replica)
         }
         not_full_.notify_all();
 
-        execute(fn, batch);
+        execute(batch);
 
         {
             core::LockGuard lk(mu_);
@@ -274,8 +253,7 @@ InferenceEngine::worker_loop(std::size_t replica)
 }
 
 void
-InferenceEngine::execute(const SessionBatchFn& fn,
-                         std::vector<Pending>& batch)
+InferenceEngine::execute(std::vector<Pending>& batch)
 {
     // Registry mirrors of the per-engine histograms, so MX_METRICS
     // dumps serve latencies without anyone calling stats().
@@ -315,18 +293,11 @@ InferenceEngine::execute(const SessionBatchFn& fn,
     // Shard row-independent batches into contiguous chunks across the
     // pool; chunking cannot change any output row (each row's result
     // depends only on that row), so the reply stream is bit-identical
-    // to the single-call execution.  With replicas > 1 the replica is
-    // the parallelism unit and sharding needs the explicit opt-in:
-    // concurrent parallel_for calls serialize on the pool's run mutex.
-    // cfg_.replicas, not workers_.size(): a worker can reach here
-    // while the constructor is still emplacing its siblings, and
-    // cfg_.replicas is immutable once start() resolved it.
-    const bool may_shard =
-        cfg_.rows_independent &&
-        (cfg_.replicas <= 1 || cfg_.shard_within_replica);
-    const std::size_t lanes = cfg_.pool->thread_count();
+    // to the single-call execution.
+    core::ThreadPool& pool = core::ThreadPool::shared();
+    const std::size_t lanes = pool.thread_count();
     const std::size_t n_chunks =
-        may_shard && rows > 1 && lanes > 1
+        cfg_.rows_independent && rows > 1 && lanes > 1
             ? std::min<std::size_t>(static_cast<std::size_t>(rows), lanes)
             : 1;
 
@@ -364,10 +335,10 @@ InferenceEngine::execute(const SessionBatchFn& fn,
             exec_span.arg("rows", static_cast<double>(rows));
             exec_span.arg("chunks", static_cast<double>(n_chunks));
             if (n_chunks == 1) {
-                outs[0] = fn(ins[0], sessions[0]);
+                outs[0] = fn_(ins[0], sessions[0]);
             } else {
-                cfg_.pool->parallel_for(n_chunks, [&](std::size_t c) {
-                    outs[c] = fn(ins[c], sessions[c]);
+                pool.parallel_for(n_chunks, [&](std::size_t c) {
+                    outs[c] = fn_(ins[c], sessions[c]);
                 });
             }
         }

@@ -2,7 +2,7 @@
 
 /**
  * @file
- * mx_serve: a replicated, batched quantized-inference engine.
+ * mx_serve: a batched quantized-inference engine.
  *
  * The deployment half of the freeze-and-serve split (nn/frozen.h): a
  * model is frozen once — weights quantized, snapshotted, and packed —
@@ -12,30 +12,27 @@
  * the activation format, so engine batches never touch a dequantized
  * FP32 weight copy.
  *
- * The engine owns a bounded request queue, a micro-batcher, and N
- * replica workers: each worker drains up to `max_batch` queued
- * requests at a time, coalesces their rows into one [B, in] tensor,
- * executes the batch against its replica's batch function, and
- * completes each request's future with its output row plus queue/total
- * latency and the batch size it rode in.  Replicas are the scaling
- * unit past one core: freezing is cheap and FrozenTensor snapshots are
- * immutable shared handles (nn/frozen.h), so a per-replica model clone
- * shares the packed weight artifacts and owns only its eval scratch —
- * and since every frozen mx model's eval forward is mutation-free, the
- * common case is all replicas sharing one model outright (the
- * single-BatchFn constructor).  Use the ReplicaFactory constructor
- * when the batch function is NOT safe to call concurrently.
+ * The engine owns a bounded request queue, a micro-batcher, and its
+ * worker threads: each worker drains up to `max_batch` queued requests
+ * at a time, coalesces their rows into one [B, in] tensor, executes
+ * the batch function on it, and completes each request's future with
+ * its output row plus queue/total latency and the batch size it rode
+ * in.  Every worker calls the one batch function, so it must be safe
+ * to call concurrently — true for every frozen mx model, whose eval
+ * forward is mutation-free.
  *
- * Sharding policy: with one replica, a `rows_independent` batch is
- * sharded across core::ThreadPool as before.  With replicas > 1 the
- * replica is the parallelism unit and per-batch pool sharding defaults
- * OFF — concurrent workers would only serialize on the pool's run
- * mutex — unless `shard_within_replica` explicitly opts back in.
+ * Worker count: the engine picks it; there is no knob.
+ *  - A `rows_independent` engine shards each batch into row chunks
+ *    across core::ThreadPool::shared(), so one batch already spans
+ *    every lane: it runs one worker.
+ *  - Any other engine runs two workers (one on a single-lane pool), so
+ *    one batch's serial phases overlap another's pool work.
+ * engine.cpp's kUnshardedWorkers records the measurement behind "two".
  *
  * Determinism contract: because every layer's eval forward is
  * row-independent and deterministic, a request's output is bit-identical
- * no matter how the batcher coalesces it or which replica executes it —
- * alone, with 7 strangers, sharded across lanes, or on worker 3 of 4.
+ * no matter how the batcher coalesces it or which worker executes it —
+ * alone, with 7 strangers, sharded across lanes, or on either worker.
  * tests/test_serve.cpp pins this.
  *
  * Shutdown contract: the destructor stops accepting work, wakes every
@@ -52,7 +49,6 @@
  * Knobs (also per-engine via EngineConfig):
  *   MX_SERVE_BATCH     max rows coalesced per batch      (default 16)
  *   MX_SERVE_QUEUE     bounded queue capacity in rows    (default 256)
- *   MX_SERVE_REPLICAS  replica worker count              (default 1)
  */
 
 #include <chrono>
@@ -68,7 +64,6 @@
 
 #include "core/check.h"
 #include "core/thread_annotations.h"
-#include "core/thread_pool.h"
 #include "obs/obs.h"
 #include "tensor/tensor.h"
 
@@ -96,33 +91,18 @@ struct EngineConfig
     /** Bounded queue capacity; submit() blocks when full
      *  (0 = $MX_SERVE_QUEUE / 256). */
     std::size_t queue_capacity = 0;
-    /** Replica worker count (0 = $MX_SERVE_REPLICAS / 1).  Every
-     *  replica pulls batches from the one bounded queue. */
-    std::size_t replicas = 0;
     /**
      * Declare that the batch function maps each input row to its output
-     * row independently and its eval path is thread-safe (true for all
-     * frozen mx models: eval forwards are mutation-free).  A
-     * single-replica engine then shards large batches across the
-     * thread pool.
+     * row independently (true for all frozen mx models).  The engine
+     * then shards large batches across the shared thread pool and runs
+     * one worker (see the file header).
      */
     bool rows_independent = false;
-    /**
-     * Opt-in: keep per-batch pool sharding even with replicas > 1.
-     * Off by default because N workers calling
-     * ThreadPool::parallel_for concurrently serialize on the pool's
-     * run mutex — the replica is the parallelism unit.
-     */
-    bool shard_within_replica = false;
-    /** Pool for sharded execution (nullptr = ThreadPool::shared()). */
-    core::ThreadPool* pool = nullptr;
 
     /** $MX_SERVE_BATCH, or 16. */
     static std::size_t default_max_batch();
     /** $MX_SERVE_QUEUE, or 256. */
     static std::size_t default_queue_capacity();
-    /** $MX_SERVE_REPLICAS, or 1. */
-    static std::size_t default_replicas();
 };
 
 /** One completed request. */
@@ -147,16 +127,15 @@ struct LatencySummary
 
 /** Aggregate counters (snapshot via InferenceEngine::stats()).  The
  *  scalar counters are maintained under the one queue mutex, so they
- *  stay race-free and mutually consistent with any replica count:
+ *  stay race-free and mutually consistent with any worker count:
  *  after drain(), the histogram's row total equals `requests` exactly.
  *  The latency summaries come from always-on obs::Histograms recorded
  *  outside the mutex; after drain() their counts match too. */
 struct EngineStats
 {
     std::uint64_t requests = 0; ///< Rows accepted by submit().
-    std::uint64_t batches = 0;  ///< Batches executed (all replicas).
+    std::uint64_t batches = 0;  ///< Batches executed (all workers).
     std::size_t max_queue_depth = 0; ///< High-water mark of the queue.
-    std::size_t replicas = 0;   ///< Replica worker count serving them.
     /** batch_size_hist[b] = batches that coalesced exactly b rows
      *  (index 0 unused; size = max_batch + 1). */
     std::vector<std::uint64_t> batch_size_hist;
@@ -167,7 +146,7 @@ struct EngineStats
     LatencySummary request_total;
     /** Per batch: gathering rows + session tags into the input tensor. */
     LatencySummary batch_assemble;
-    /** Per batch: the replica's batch-function execution. */
+    /** Per batch: the batch-function execution. */
     LatencySummary batch_execute;
 
     /** Mean coalesced batch size. */
@@ -176,9 +155,8 @@ struct EngineStats
 
 /**
  * Serves single-row requests against a frozen model, coalescing them
- * into batches across N replica workers.  Each worker owns one batch
- * function; within a batch, execution shards across the thread pool
- * when the sharding policy (see file header) allows it.
+ * into batches that the engine's workers execute (see the file header
+ * for how many workers run and when a batch shards).
  */
 class InferenceEngine
 {
@@ -189,14 +167,10 @@ class InferenceEngine
      *  session id per input row (0 = sessionless), row-aligned. */
     using SessionBatchFn = std::function<tensor::Tensor(
         const tensor::Tensor&, const std::vector<std::uint64_t>&)>;
-    /** Builds replica @p r's batch function (a model clone's forward;
-     *  FrozenTensor handles make the clone share packed weights). */
-    using ReplicaFactory = std::function<BatchFn(std::size_t r)>;
 
     /**
-     * Every replica serves @p fn.  With replicas > 1 the function must
-     * be safe to call concurrently (true for frozen mx model eval
-     * forwards); otherwise use the ReplicaFactory constructor.
+     * Every worker serves @p fn, so it must be safe to call
+     * concurrently (true for frozen mx model eval forwards).
      *
      * @param fn     the frozen model's batched eval forward
      * @param in_dim request row width
@@ -204,14 +178,8 @@ class InferenceEngine
      */
     InferenceEngine(BatchFn fn, std::int64_t in_dim, EngineConfig cfg = {});
 
-    /** Session-aware variant of the shared-function constructor. */
+    /** Session-aware variant. */
     InferenceEngine(SessionBatchFn fn, std::int64_t in_dim,
-                    EngineConfig cfg = {});
-
-    /** Per-replica batch functions: @p make(r) is called once per
-     *  replica at construction, so each worker can own an independent
-     *  clone of the model's mutable eval state. */
-    InferenceEngine(ReplicaFactory make, std::int64_t in_dim,
                     EngineConfig cfg = {});
 
     /**
@@ -237,7 +205,7 @@ class InferenceEngine
                               std::uint64_t session = 0);
 
     /** Block until every accepted request has completed — the queue is
-     *  empty AND no replica still holds an unexecuted batch. */
+     *  empty AND no worker still holds an unexecuted batch. */
     void drain();
 
     /** Counter snapshot, including histogram-backed queue-wait /
@@ -247,7 +215,7 @@ class InferenceEngine
     std::int64_t in_dim() const { return in_dim_; }
     std::size_t max_batch() const { return cfg_.max_batch; }
     std::size_t queue_capacity() const { return cfg_.queue_capacity; }
-    std::size_t replicas() const { return workers_.size(); }
+    std::size_t workers() const { return workers_.size(); }
 
   private:
     struct Pending
@@ -258,14 +226,12 @@ class InferenceEngine
         std::chrono::steady_clock::time_point enqueued;
     };
 
-    void start(const std::function<SessionBatchFn(std::size_t)>& make,
-               EngineConfig cfg);
-    void worker_loop(std::size_t replica);
-    void execute(const SessionBatchFn& fn, std::vector<Pending>& batch);
+    void worker_loop(std::size_t worker);
+    void execute(std::vector<Pending>& batch);
 
-    std::int64_t in_dim_;
+    const SessionBatchFn fn_;
+    const std::int64_t in_dim_;
     EngineConfig cfg_;
-    std::vector<SessionBatchFn> replica_fns_;
 
     mutable core::Mutex mu_; ///< The one queue mutex (see EngineStats).
     std::condition_variable not_empty_;
@@ -274,7 +240,7 @@ class InferenceEngine
     std::condition_variable submitters_done_;
     std::deque<Pending> queue_ MX_GUARDED_BY(mu_);
     bool stop_ MX_GUARDED_BY(mu_) = false;
-    /// Replicas holding a popped batch.
+    /// Workers holding a popped batch.
     std::size_t busy_workers_ MX_GUARDED_BY(mu_) = 0;
     /// submit() calls in flight.
     std::size_t active_submits_ MX_GUARDED_BY(mu_) = 0;
@@ -282,7 +248,7 @@ class InferenceEngine
 
     // Per-engine latency histograms (nanoseconds), recorded in
     // execute() OUTSIDE the queue mutex — obs histograms are
-    // relaxed-atomic, so replicas never serialize on telemetry.
+    // relaxed-atomic, so workers never serialize on telemetry.
     obs::Histogram hist_queue_wait_;
     obs::Histogram hist_request_total_;
     obs::Histogram hist_batch_assemble_;

@@ -16,9 +16,10 @@
  * Checkout semantics: take() *removes* the state from the cache and
  * put() re-inserts it after the step.  A second request for the same
  * session arriving while the first is in flight (abnormal for decode,
- * possible under replicas) simply misses and recomputes from scratch —
- * session state is never mutated concurrently, and a miss is always
- * correct because prefix reuse is bit-identical to full recompute.
+ * possible with two engine workers) simply misses and recomputes from
+ * scratch — session state is never mutated concurrently, and a miss is
+ * always correct because prefix reuse is bit-identical to full
+ * recompute.
  *
  * Disabled (capacity 0, e.g. MX_SERVE_SESSIONS=0): take() always
  * misses and put() drops the state, so every request takes the full

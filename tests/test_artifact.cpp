@@ -318,7 +318,7 @@ TEST(ArtifactRoundTrip, GptZeroCopyReplicasShareOneMapping)
         }
     EXPECT_GT(packed, 0u);
 
-    // Two replicas from ONE reader share the cached handles (and so
+    // Two models from ONE reader share the cached handles (and so
     // the single mapping): shares_payload_with holds slot for slot.
     models::GptMini a = models::GptMini::load_frozen(reader);
     models::GptMini b = models::GptMini::load_frozen(reader);
@@ -336,8 +336,9 @@ TEST(ArtifactRoundTrip, GptZeroCopyReplicasShareOneMapping)
         }
     EXPECT_EQ(shared, packed);
 
-    // And both serve bit-identically to the original frozen model
-    // through a replicated engine (one replica per loaded model).
+    // And both serve bit-identically to the original frozen model:
+    // directly, and through an engine whose workers share one batch
+    // function on `a`.
     for_each_dispatch([&](const char* leg) {
         data::SequenceBatch batch = token_batch(2, cfg.seq_len,
                                                 cfg.vocab, 67);
@@ -350,17 +351,10 @@ TEST(ArtifactRoundTrip, GptZeroCopyReplicasShareOneMapping)
             << leg;
     });
 
-    std::vector<models::GptMini*> replicas = {&a, &b};
     serve::EngineConfig ecfg;
-    ecfg.replicas = 2;
     ecfg.max_batch = 2;
     serve::InferenceEngine engine(
-        [&replicas](std::size_t r) -> serve::InferenceEngine::BatchFn {
-            models::GptMini* m = replicas[r % replicas.size()];
-            return [m](const Tensor& rows) {
-                return m->window_logits(rows);
-            };
-        },
+        [&a](const Tensor& rows) { return a.window_logits(rows); },
         cfg.seq_len, ecfg);
 
     std::vector<int> tokens(static_cast<std::size_t>(cfg.seq_len));

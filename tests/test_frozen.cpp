@@ -509,7 +509,7 @@ TEST(FrozenModels, Seq2SeqBitIdenticalEvalAndDecode)
 
 TEST(FrozenTensor, CopiesAreSharedHandlesOntoOnePayload)
 {
-    // Replica serving leans on this: copying a FrozenTensor is O(1)
+    // Model clones lean on this: copying a FrozenTensor is O(1)
     // and shares the packed weight artifacts instead of duplicating
     // them, so N model clones cost N sets of eval scratch, not N
     // copies of every frozen weight.

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -68,6 +71,16 @@ random_rows(std::size_t n, std::int64_t dim, std::uint64_t seed)
     return rows;
 }
 
+/** The engine's worker count on this host: one when it shards its
+ *  batches (or the shared pool has one lane), otherwise two. */
+std::size_t
+expected_workers(bool rows_independent)
+{
+    if (rows_independent || core::ThreadPool::shared().thread_count() <= 1)
+        return 1;
+    return 2;
+}
+
 } // namespace
 
 TEST(InferenceEngine, RepliesMatchDirectForwardBitForBit)
@@ -113,38 +126,88 @@ TEST(InferenceEngine, RepliesMatchDirectForwardBitForBit)
 
 TEST(InferenceEngine, CoalescingOrderCannotChangeOutputs)
 {
-    // The same request stream through a no-batching engine, a heavily
-    // coalescing engine, and a sharded engine must produce identical
-    // bits: batching is an execution detail, never a numeric one.
+    // The same request stream through a no-batching engine, a
+    // coalescing engine (each two workers on a multi-lane pool) and a
+    // sharded one-worker engine must produce identical bits, and the
+    // stats must stay consistent (every accepted row lands in exactly
+    // one batch's histogram): batching and the worker count are
+    // execution details, never numeric ones.
     FrozenMlp m;
-    auto rows = random_rows(16, 16, 11);
+    auto rows = random_rows(24, 16, 11);
 
-    auto run = [&](std::size_t max_batch, bool rows_independent,
-                   core::ThreadPool* pool) {
+    auto run = [&](std::size_t max_batch, bool rows_independent) {
         serve::EngineConfig cfg;
         cfg.max_batch = max_batch;
         cfg.queue_capacity = 64;
         cfg.rows_independent = rows_independent;
-        cfg.pool = pool;
         serve::InferenceEngine engine(m.fn(), 16, cfg);
+        EXPECT_EQ(engine.workers(), expected_workers(rows_independent));
         std::vector<std::future<serve::Reply>> futures;
         for (const auto& r : rows)
             futures.push_back(engine.submit(r));
         std::vector<std::vector<float>> outs;
         for (auto& f : futures)
             outs.push_back(f.get().output);
+        engine.drain();
+
+        serve::EngineStats stats = engine.stats();
+        EXPECT_EQ(stats.requests, rows.size());
+        std::uint64_t hist_rows = 0, hist_batches = 0;
+        for (std::size_t b = 0; b < stats.batch_size_hist.size(); ++b) {
+            hist_rows += stats.batch_size_hist[b] * b;
+            hist_batches += stats.batch_size_hist[b];
+        }
+        EXPECT_EQ(hist_rows, stats.requests) << "max_batch " << max_batch;
+        EXPECT_EQ(hist_batches, stats.batches);
         return outs;
     };
 
-    core::ThreadPool pool(4);
-    auto singles = run(1, false, nullptr);
-    auto batched = run(8, false, nullptr);
-    auto sharded = run(16, true, &pool);
+    auto singles = run(1, false);
+    auto batched = run(4, false);
+    auto sharded = run(16, true);
     ASSERT_EQ(singles.size(), batched.size());
+    ASSERT_EQ(singles.size(), sharded.size());
     for (std::size_t i = 0; i < singles.size(); ++i) {
         EXPECT_EQ(singles[i], batched[i]) << "request " << i;
         EXPECT_EQ(singles[i], sharded[i]) << "request " << i;
     }
+}
+
+TEST(InferenceEngine, WorkerCountFollowsTheShardingRule)
+{
+    // A sharded engine runs one worker; any other runs two, and the two
+    // really execute batches at the same time (each batch below waits,
+    // up to a deadline, until every worker is in flight).
+    serve::EngineConfig sharded;
+    sharded.rows_independent = true;
+    serve::InferenceEngine one([](const Tensor& in) { return in; }, 4,
+                               sharded);
+    EXPECT_EQ(one.workers(), 1u);
+
+    const std::size_t workers = expected_workers(false);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t in_flight = 0;
+    std::size_t peak = 0;
+    serve::EngineConfig cfg;
+    cfg.max_batch = 1;
+    serve::InferenceEngine engine(
+        [&](const Tensor& in) {
+            std::unique_lock<std::mutex> lk(mu);
+            peak = std::max(peak, ++in_flight);
+            cv.notify_all();
+            cv.wait_for(lk, std::chrono::seconds(5),
+                        [&] { return peak >= workers; });
+            --in_flight;
+            return in;
+        },
+        4, cfg);
+    EXPECT_EQ(engine.workers(), workers);
+    auto f1 = engine.submit(std::vector<float>(4, 1.0f));
+    auto f2 = engine.submit(std::vector<float>(4, 2.0f));
+    EXPECT_EQ(f1.get().output, std::vector<float>(4, 1.0f));
+    EXPECT_EQ(f2.get().output, std::vector<float>(4, 2.0f));
+    EXPECT_EQ(peak, workers);
 }
 
 TEST(InferenceEngine, TransformerSequencesAreCoalescingInvariant)
@@ -267,39 +330,27 @@ TEST(InferenceEngine, RejectsMalformedRequestsAndBatchFns)
         serve::InferenceEngine(serve::InferenceEngine::BatchFn{}, 4),
         ArgumentError);
     EXPECT_THROW(serve::InferenceEngine(m.fn(), 0), ArgumentError);
-    EXPECT_THROW(
-        serve::InferenceEngine(serve::InferenceEngine::ReplicaFactory{},
-                               4),
-        ArgumentError);
 }
 
 TEST(InferenceEngine, EnvironmentKnobsResolveDefaults)
 {
     ::setenv("MX_SERVE_BATCH", "3", 1);
     ::setenv("MX_SERVE_QUEUE", "5", 1);
-    ::setenv("MX_SERVE_REPLICAS", "2", 1);
     EXPECT_EQ(serve::EngineConfig::default_max_batch(), 3u);
     EXPECT_EQ(serve::EngineConfig::default_queue_capacity(), 5u);
-    EXPECT_EQ(serve::EngineConfig::default_replicas(), 2u);
     {
         FrozenMlp m;
         serve::InferenceEngine engine(m.fn(), 16);
         EXPECT_EQ(engine.max_batch(), 3u);
         EXPECT_EQ(engine.queue_capacity(), 5u);
-        EXPECT_EQ(engine.replicas(), 2u);
-        EXPECT_EQ(engine.stats().replicas, 2u);
     }
     // Malformed values fall back (with a once-per-variable warning).
     ::setenv("MX_SERVE_BATCH", "not-a-number", 1);
-    ::setenv("MX_SERVE_REPLICAS", "0", 1);
     EXPECT_EQ(serve::EngineConfig::default_max_batch(), 16u);
-    EXPECT_EQ(serve::EngineConfig::default_replicas(), 1u);
     ::unsetenv("MX_SERVE_BATCH");
     ::unsetenv("MX_SERVE_QUEUE");
-    ::unsetenv("MX_SERVE_REPLICAS");
     EXPECT_EQ(serve::EngineConfig::default_max_batch(), 16u);
     EXPECT_EQ(serve::EngineConfig::default_queue_capacity(), 256u);
-    EXPECT_EQ(serve::EngineConfig::default_replicas(), 1u);
 
     ::setenv("MX_SERVE_SESSIONS", "7", 1);
     EXPECT_EQ(serve::SessionCache::default_capacity(), 7u);
@@ -308,89 +359,6 @@ TEST(InferenceEngine, EnvironmentKnobsResolveDefaults)
     EXPECT_FALSE(serve::SessionCache().enabled());
     ::unsetenv("MX_SERVE_SESSIONS");
     EXPECT_EQ(serve::SessionCache::default_capacity(), 64u);
-}
-
-TEST(InferenceEngine, ReplicasMatchSingleWorkerBitForBit)
-{
-    // The replica count is an execution detail, never a numeric one:
-    // the same request stream through 1 and 4 replica workers must
-    // produce identical bits, and the stats must stay consistent
-    // (every accepted row lands in exactly one batch's histogram).
-    FrozenMlp m;
-    auto rows = random_rows(24, 16, 23);
-
-    auto run = [&](std::size_t replicas) {
-        serve::EngineConfig cfg;
-        cfg.max_batch = 4;
-        cfg.queue_capacity = 64;
-        cfg.replicas = replicas;
-        serve::InferenceEngine engine(m.fn(), 16, cfg);
-        EXPECT_EQ(engine.replicas(), replicas);
-        std::vector<std::future<serve::Reply>> futures;
-        for (const auto& r : rows)
-            futures.push_back(engine.submit(r));
-        std::vector<std::vector<float>> outs;
-        for (auto& f : futures)
-            outs.push_back(f.get().output);
-        engine.drain();
-
-        serve::EngineStats stats = engine.stats();
-        EXPECT_EQ(stats.requests, rows.size());
-        EXPECT_EQ(stats.replicas, replicas);
-        std::uint64_t hist_rows = 0, hist_batches = 0;
-        for (std::size_t b = 0; b < stats.batch_size_hist.size(); ++b) {
-            hist_rows += stats.batch_size_hist[b] * b;
-            hist_batches += stats.batch_size_hist[b];
-        }
-        EXPECT_EQ(hist_rows, stats.requests)
-            << "with " << replicas << " replicas";
-        EXPECT_EQ(hist_batches, stats.batches);
-        return outs;
-    };
-
-    auto single = run(1);
-    auto replicated = run(4);
-    ASSERT_EQ(single.size(), replicated.size());
-    for (std::size_t i = 0; i < single.size(); ++i)
-        EXPECT_EQ(single[i], replicated[i]) << "request " << i;
-}
-
-TEST(InferenceEngine, ReplicaFactoryClonesServeIdentically)
-{
-    // Per-replica model clones: the factory builds one frozen MLP per
-    // worker (deterministic init -> identical weights; FrozenTensor
-    // handles would let a real clone share the packed artifacts).
-    // Outputs must match the single shared-model engine bit for bit.
-    FrozenMlp reference;
-    auto rows = random_rows(12, 16, 29);
-
-    std::vector<std::unique_ptr<FrozenMlp>> clones;
-    serve::EngineConfig cfg;
-    cfg.max_batch = 2;
-    cfg.queue_capacity = 32;
-    cfg.replicas = 3;
-    serve::InferenceEngine engine(
-        serve::InferenceEngine::ReplicaFactory(
-            [&clones](std::size_t) -> serve::InferenceEngine::BatchFn {
-                clones.push_back(std::make_unique<FrozenMlp>());
-                return clones.back()->fn();
-            }),
-        16, cfg);
-    EXPECT_EQ(clones.size(), 3u);
-
-    std::vector<std::future<serve::Reply>> futures;
-    for (const auto& r : rows)
-        futures.push_back(engine.submit(r));
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        Tensor x({1, 16});
-        std::copy(rows[i].begin(), rows[i].end(), x.data());
-        Tensor direct = reference.model.logits(x, false);
-        serve::Reply reply = futures[i].get();
-        for (std::int64_t j = 0; j < 4; ++j)
-            EXPECT_EQ(reply.output[static_cast<std::size_t>(j)],
-                      direct.data()[j])
-                << "request " << i << " logit " << j;
-    }
 }
 
 TEST(InferenceEngine, ShutdownRejectsBlockedSubmitterDistinctly)
@@ -408,10 +376,12 @@ TEST(InferenceEngine, ShutdownRejectsBlockedSubmitterDistinctly)
         },
         4,
         [] {
+            // Row-independent echo: one worker, so the second request
+            // stays queued while the first is parked.
             serve::EngineConfig cfg;
             cfg.max_batch = 1;
             cfg.queue_capacity = 1;
-            cfg.replicas = 1;
+            cfg.rows_independent = true;
             return cfg;
         }());
 
@@ -466,15 +436,13 @@ TEST(InferenceEngine, ShutdownRejectsBlockedSubmitterDistinctly)
 
 TEST(InferenceEngine, DrainCannotReturnWhileAnyReplicaHoldsABatch)
 {
-    // With N workers, "queue empty" alone is not "all work done": a
-    // popped batch lives in its replica, not the queue.  drain() must
+    // With two workers, "queue empty" alone is not "all work done": a
+    // popped batch lives in its worker, not the queue.  drain() must
     // also wait out the per-worker busy count.
     std::atomic<int> in_flight{0};
-    std::atomic<bool> saw_busy_violation{false};
     serve::EngineConfig cfg;
     cfg.max_batch = 1;
     cfg.queue_capacity = 32;
-    cfg.replicas = 4;
     serve::InferenceEngine engine(
         [&](const Tensor& in) {
             ++in_flight;
@@ -489,13 +457,12 @@ TEST(InferenceEngine, DrainCannotReturnWhileAnyReplicaHoldsABatch)
     for (const auto& r : rows)
         futures.push_back(engine.submit(r));
     engine.drain();
-    // At the moment drain() returned, no replica may still be
+    // At the moment drain() returned, no worker may still be
     // executing and every accepted future must be ready.
     EXPECT_EQ(in_flight.load(), 0) << "drain returned mid-batch";
     for (auto& f : futures)
         EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
                   std::future_status::ready);
-    (void)saw_busy_violation;
 }
 
 TEST(SessionCache, CheckoutLruAndDisabledSemantics)
@@ -662,10 +629,10 @@ TEST(DecodeSession, DivergedStreamKeepsOnlyTheSharedPrefix)
 
 TEST(DecodeSession, ReplicatedSessionServingMatchesDirectDecode)
 {
-    // End to end: replicated engine + session-aware batch fn + LRU
+    // End to end: two-worker engine + session-aware batch fn + LRU
     // session cache; every stream's greedy decode must reproduce the
     // cold direct path token for token and bit for bit — warm or
-    // cold, coalesced or not, whichever replica served it.
+    // cold, coalesced or not, whichever worker served it.
     models::GptMini model = make_decode_gpt();
     const auto& cfg = model.config();
     serve::SessionCache cache(8);
@@ -687,7 +654,6 @@ TEST(DecodeSession, ReplicatedSessionServingMatchesDirectDecode)
     serve::EngineConfig ec;
     ec.max_batch = 4;
     ec.queue_capacity = 16;
-    ec.replicas = 3;
     serve::InferenceEngine engine(
         models::gpt_decode_batch_fn(model, cache), cfg.seq_len, ec);
 
