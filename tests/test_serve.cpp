@@ -320,6 +320,72 @@ TEST(InferenceEngine, BatchFunctionErrorsPropagateToFutures)
     EXPECT_THROW(fut2.get(), std::runtime_error);
 }
 
+TEST(InferenceEngine, MalformedBatchOutputsFailTheirBatch)
+{
+    // A batch function that returns the wrong shape fails that batch's
+    // futures with ArgumentError; the engine keeps serving.
+    serve::EngineConfig cfg;
+    cfg.max_batch = 1;
+    cfg.queue_capacity = 8;
+    serve::InferenceEngine engine(
+        [](const Tensor& in) -> Tensor {
+            const float mode = in.data()[0];
+            if (mode == 1.0f)
+                return Tensor({4}); // not 2-d
+            if (mode == 2.0f)
+                return Tensor({in.dim(0) + 1, 4}); // one row too many
+            return in;
+        },
+        4, cfg);
+    auto flat = engine.submit(std::vector<float>(4, 1.0f));
+    auto extra = engine.submit(std::vector<float>(4, 2.0f));
+    auto good = engine.submit(std::vector<float>(4, 3.0f));
+    EXPECT_THROW(flat.get(), ArgumentError);
+    EXPECT_THROW(extra.get(), ArgumentError);
+    EXPECT_EQ(good.get().output, std::vector<float>(4, 3.0f));
+}
+
+TEST(InferenceEngine, SessionTagsStayRowAlignedOnEveryWorkerCount)
+{
+    // A session-aware batch function sees each row's own tag, whether
+    // the batch is coalesced on either of two workers or split into row
+    // chunks across the pool by a sharded one-worker engine.
+    auto rows = random_rows(24, 4, 37);
+    for (bool rows_independent : {false, true}) {
+        serve::EngineConfig cfg;
+        cfg.max_batch = 8;
+        cfg.queue_capacity = 64;
+        cfg.rows_independent = rows_independent;
+        serve::InferenceEngine engine(
+            serve::InferenceEngine::SessionBatchFn(
+                [](const Tensor& in,
+                   const std::vector<std::uint64_t>& sessions) {
+                    EXPECT_EQ(sessions.size(),
+                              static_cast<std::size_t>(in.dim(0)));
+                    Tensor out({in.dim(0), 2});
+                    for (std::int64_t r = 0; r < in.dim(0); ++r) {
+                        out.data()[r * 2] = static_cast<float>(
+                            sessions[static_cast<std::size_t>(r)]);
+                        out.data()[r * 2 + 1] = in.data()[r * 4];
+                    }
+                    return out;
+                }),
+            4, cfg);
+        EXPECT_EQ(engine.workers(), expected_workers(rows_independent));
+        std::vector<std::future<serve::Reply>> futures;
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            futures.push_back(engine.submit(rows[i], i % 3 == 0 ? 0 : i));
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            serve::Reply reply = futures[i].get();
+            ASSERT_EQ(reply.output.size(), 2u);
+            EXPECT_EQ(reply.output[0],
+                      static_cast<float>(i % 3 == 0 ? 0 : i))
+                << "request " << i << " sharded " << rows_independent;
+            EXPECT_EQ(reply.output[1], rows[i][0]) << "request " << i;
+        }
+    }
+}
+
 TEST(InferenceEngine, RejectsMalformedRequestsAndBatchFns)
 {
     FrozenMlp m;
