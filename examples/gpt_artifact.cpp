@@ -31,6 +31,8 @@
 #include "artifact/reader.h"
 #include "data/synthetic.h"
 #include "models/transformer.h"
+#include "nn/frozen.h"
+#include "nn/layer.h"
 #include "nn/optimizer.h"
 #include "serve/engine.h"
 
@@ -127,12 +129,31 @@ run_serve(const std::string& path)
     // Two models from the ONE reader: every loaded FrozenTensor views
     // the same mapping, so another model costs its eval scratch, not a
     // copy of the weights (or cold-start quantize work — there is
-    // none).  The engine serves the first; its workers share it.
+    // none).  Check that slot for slot; the engine then serves the
+    // first, and its workers share it.
     GptMini model = GptMini::load_frozen(reader);
-    [[maybe_unused]] const GptMini twin = GptMini::load_frozen(reader);
+    GptMini twin = GptMini::load_frozen(reader);
+    std::vector<nn::FrozenStateRef> mine, theirs;
+    model.collect_state("", mine);
+    twin.collect_state("", theirs);
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+        const nn::FrozenTensor* f = mine[i].frozen;
+        if (f == nullptr || !f->valid() || !f->quantized())
+            continue;
+        if (i >= theirs.size() || theirs[i].frozen == nullptr ||
+            !f->shares_payload_with(*theirs[i].frozen)) {
+            std::printf("MISMATCH: %s is not shared between the two "
+                        "loaded models\n",
+                        mine[i].name.c_str());
+            return 1;
+        }
+        ++shared;
+    }
     const TransformerConfig cfg = model.config();
-    std::printf("loaded 2 models sharing the %zu-byte mapping\n",
-                reader.file_size());
+    std::printf("loaded 2 models sharing %zu weight payloads of the "
+                "%zu-byte artifact\n",
+                shared, reader.file_size());
 
     // Sessionless decode rows: unpack each request's context and
     // compute the batch's next-token logits from scratch in one fused

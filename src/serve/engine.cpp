@@ -50,9 +50,7 @@ constexpr std::size_t kUnshardedWorkers = 2;
 std::size_t
 worker_count(const EngineConfig& cfg)
 {
-    if (cfg.rows_independent || core::ThreadPool::shared().thread_count() <= 1)
-        return 1;
-    return kUnshardedWorkers;
+    return cfg.rows_independent ? 1 : kUnshardedWorkers;
 }
 
 /** EngineStats percentile summary from an engine-owned histogram. */

@@ -25,8 +25,8 @@
  *  - A `rows_independent` engine shards each batch into row chunks
  *    across core::ThreadPool::shared(), so one batch already spans
  *    every lane: it runs one worker.
- *  - Any other engine runs two workers (one on a single-lane pool), so
- *    one batch's serial phases overlap another's pool work.
+ *  - Any other engine runs two workers, so one batch's serial phases
+ *    overlap another's pool work.
  * engine.cpp's kUnshardedWorkers records the measurement behind "two".
  *
  * Determinism contract: because every layer's eval forward is

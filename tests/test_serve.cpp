@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -71,14 +72,18 @@ random_rows(std::size_t n, std::int64_t dim, std::uint64_t seed)
     return rows;
 }
 
-/** The engine's worker count on this host: one when it shards its
- *  batches (or the shared pool has one lane), otherwise two. */
-std::size_t
-expected_workers(bool rows_independent)
+/** A sharded engine splits a batch into one row chunk per shared-pool
+ *  lane, so on a one-lane pool (a one-vCPU host, or MX_THREADS=1) a
+ *  test's sharded leg never reaches the chunked path.  Say so, so such
+ *  a pass is not read as chunk coverage; CI also runs these tests
+ *  under MX_THREADS=3, which always chunks. */
+void
+note_if_sharding_cannot_chunk()
 {
-    if (rows_independent || core::ThreadPool::shared().thread_count() <= 1)
-        return 1;
-    return 2;
+    if (core::ThreadPool::shared().thread_count() <= 1)
+        std::printf("[   NOTE   ] one pool lane: the sharded leg runs "
+                    "each batch as one chunk; run with MX_THREADS>=2 to "
+                    "cover row chunking\n");
 }
 
 } // namespace
@@ -127,11 +132,12 @@ TEST(InferenceEngine, RepliesMatchDirectForwardBitForBit)
 TEST(InferenceEngine, CoalescingOrderCannotChangeOutputs)
 {
     // The same request stream through a no-batching engine, a
-    // coalescing engine (each two workers on a multi-lane pool) and a
-    // sharded one-worker engine must produce identical bits, and the
-    // stats must stay consistent (every accepted row lands in exactly
-    // one batch's histogram): batching and the worker count are
-    // execution details, never numeric ones.
+    // coalescing engine (each two workers) and a sharded one-worker
+    // engine must produce identical bits, and the stats must stay
+    // consistent (every accepted row lands in exactly one batch's
+    // histogram): batching and the worker count are execution details,
+    // never numeric ones.
+    note_if_sharding_cannot_chunk();
     FrozenMlp m;
     auto rows = random_rows(24, 16, 11);
 
@@ -141,7 +147,7 @@ TEST(InferenceEngine, CoalescingOrderCannotChangeOutputs)
         cfg.queue_capacity = 64;
         cfg.rows_independent = rows_independent;
         serve::InferenceEngine engine(m.fn(), 16, cfg);
-        EXPECT_EQ(engine.workers(), expected_workers(rows_independent));
+        EXPECT_EQ(engine.workers(), rows_independent ? 1u : 2u);
         std::vector<std::future<serve::Reply>> futures;
         for (const auto& r : rows)
             futures.push_back(engine.submit(r));
@@ -184,7 +190,7 @@ TEST(InferenceEngine, WorkerCountFollowsTheShardingRule)
                                sharded);
     EXPECT_EQ(one.workers(), 1u);
 
-    const std::size_t workers = expected_workers(false);
+    const std::size_t workers = 2;
     std::mutex mu;
     std::condition_variable cv;
     std::size_t in_flight = 0;
@@ -350,6 +356,7 @@ TEST(InferenceEngine, SessionTagsStayRowAlignedOnEveryWorkerCount)
     // A session-aware batch function sees each row's own tag, whether
     // the batch is coalesced on either of two workers or split into row
     // chunks across the pool by a sharded one-worker engine.
+    note_if_sharding_cannot_chunk();
     auto rows = random_rows(24, 4, 37);
     for (bool rows_independent : {false, true}) {
         serve::EngineConfig cfg;
@@ -371,7 +378,7 @@ TEST(InferenceEngine, SessionTagsStayRowAlignedOnEveryWorkerCount)
                     return out;
                 }),
             4, cfg);
-        EXPECT_EQ(engine.workers(), expected_workers(rows_independent));
+        EXPECT_EQ(engine.workers(), rows_independent ? 1u : 2u);
         std::vector<std::future<serve::Reply>> futures;
         for (std::size_t i = 0; i < rows.size(); ++i)
             futures.push_back(engine.submit(rows[i], i % 3 == 0 ? 0 : i));
