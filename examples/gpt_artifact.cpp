@@ -11,10 +11,10 @@
  *
  *   $ ./examples/gpt_artifact serve model.mxfrozen
  *       A *different process*: mmaps the artifact read-only, loads
- *       two models that share the single mapping, serves the same
- *       greedy decode through the batched InferenceEngine, and
- *       verifies it reproduces the export-side tokens bit-for-bit
- *       (exit 1 on any divergence).
+ *       two models and checks that they share the single mapping,
+ *       serves the same greedy decode through the batched
+ *       InferenceEngine, and verifies it reproduces the export-side
+ *       tokens bit-for-bit (exit 1 on any divergence).
  *
  * Together the two invocations are the artifact contract end to end:
  * quantize+pack on one machine, serve the exact same bits on another,

@@ -41,6 +41,14 @@ ns_between(std::chrono::steady_clock::time_point a,
  *    after another; a second worker overlaps their serial phases.
  *  - gpt_decode: 1,722 -> 1,780 tok/s (4/5 pairs, within noise).
  *  - 3 or 4 workers read 4,224-4,396 on gpt_prefill, below two.
+ * The pool's lane count does not change the choice.  10 alternating
+ * 28 s run.py pairs each, MX_THREADS=1, one worker vs two:
+ *  - 4 vCPUs: gpt_prefill 2,613 -> 2,803 prompt tok/s (10/10),
+ *    gpt_decode 1,279 -> 2,364 tok/s (10/10); with one lane the GEMMs
+ *    run inline, so two workers use two cores.
+ *  - pinned to one vCPU: gpt_prefill 2,481 -> 2,412 (5/10, within
+ *    noise), gpt_decode 1,356 -> 1,199 (0/10).  Only a one-CPU host
+ *    pays, and the benchmark has no such workload to select on.
  * A row-sharded batch already spans every pool lane, and a second
  * worker measured slower on mlp_open (3/3 pairs), so sharded engines
  * run one.
