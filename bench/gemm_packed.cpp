@@ -14,15 +14,19 @@
  * ragged-width correctness, an MX_GEMM_THREADS sweep over decode- and
  * prefill-shaped GEMMs (slot-named t1/t2/t4/tpool so baselines compare
  * across machines, with a bytes-touched-per-MAC arithmetic-intensity
- * metric and a bit-identity-across-lane-counts flag), and the
+ * metric and a bit-identity-across-lane-counts flag), the MAC floor
+ * ladder behind gemm::kMinMacsPerShare (serial vs every-lane split vs
+ * the shipped rule; metrics only), and the
  * weight-memory story (FP32 bytes vs packed stream vs execution view).
  * Emits BENCH_gemm_packed.json.
  *
  *   $ ./bench/gemm_packed
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_report.h"
 #include "core/kernels/dispatch.h"
@@ -330,6 +334,92 @@ main()
                 const bool scale_ok = scale >= 2.0;
                 report.flag("gemm_prefill_pool_ge_2x_t1", scale_ok);
                 ok = ok && scale_ok;
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // MAC floor ladder: where waking pool lanes starts to pay.  Decode-
+    // and prefill-shaped MX9 GEMMs (K = 256, N = 256 and 1024) at
+    // growing M, timed serially (t1), split across every lane whatever
+    // their size (split: the bench cuts the tile grid into min(lanes,
+    // tiles) contiguous ranges itself, exactly as the drivers do above
+    // the floor) and through the shipped rule (tpool: kMinMacsPerShare
+    // decides).  Metrics only: the split's wake-and-join cost over the
+    // serial walk at small M sets gemm::kMinMacsPerShare.
+    // ------------------------------------------------------------------
+    bench::banner("MAC floor ladder: t1 vs every-lane split vs shipped rule");
+    {
+        const core::kernels::QuantPlan plan =
+            core::kernels::make_quant_plan(core::mx9());
+        const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+        const gemm::PackedGemmKernel& kernel = gemm::active_gemm_kernel();
+        core::ThreadPool& pool = core::ThreadPool::shared();
+        const std::size_t lanes = pool.thread_count();
+        const std::size_t k = 256;
+        std::printf("  pool lanes: %zu, kMinMacsPerShare: %zu\n\n", lanes,
+                    gemm::kMinMacsPerShare);
+        std::printf("%5s %5s %9s %9s %8s %8s\n", "n", "m", "MACs",
+                    "t1 us", "split", "tpool");
+        for (const std::size_t n : {std::size_t{256}, std::size_t{1024}}) {
+            Tensor y = Tensor::randn({static_cast<std::int64_t>(n),
+                                      static_cast<std::int64_t>(k)},
+                                     rng, 0.3f);
+            core::Rounder rounder;
+            const auto b = gemm::PackedOperand::quantize(
+                plan, y.data(), n, k, rounder);
+            for (const std::size_t m : {1, 4, 8, 16, 48, 128}) {
+                Tensor x = Tensor::randn({static_cast<std::int64_t>(m),
+                                          static_cast<std::int64_t>(k)},
+                                         rng, 1.0f);
+                const auto a = gemm::PackedOperand::quantize(
+                    plan, x.data(), m, k, rounder);
+                const std::size_t macs = m * n * k;
+                const std::size_t ntj =
+                    (n + gemm::kTileRowsB - 1) / gemm::kTileRowsB;
+                const std::size_t ntiles =
+                    ((m + gemm::kTileRowsA - 1) / gemm::kTileRowsA) * ntj;
+                const std::size_t shares = std::min(lanes, ntiles);
+                auto serial = [&]() {
+                    bench::do_not_optimize(
+                        gemm::matmul_nt_prequant(gp, a, b));
+                };
+                auto split = [&]() {
+                    Tensor c({static_cast<std::int64_t>(m),
+                              static_cast<std::int64_t>(n)});
+                    pool.parallel_for(shares, [&](std::size_t s) {
+                        for (std::size_t t = ntiles * s / shares;
+                             t < ntiles * (s + 1) / shares; ++t) {
+                            const std::size_t i0 =
+                                (t / ntj) * gemm::kTileRowsA;
+                            const std::size_t j0 =
+                                (t % ntj) * gemm::kTileRowsB;
+                            kernel.gemm_tile(
+                                gp, a, b,
+                                gemm::Tile{i0,
+                                           std::min(m, i0 + gemm::kTileRowsA),
+                                           j0,
+                                           std::min(n,
+                                                    j0 + gemm::kTileRowsB)},
+                                c.data(), n);
+                        }
+                    });
+                    bench::do_not_optimize(c.data());
+                };
+                gemm::set_gemm_threads(1);
+                const bench::BenchResult r1 = bench::run_bench(serial, macs);
+                gemm::set_gemm_threads(0);
+                const bench::BenchResult rs = bench::run_bench(split, macs);
+                const bench::BenchResult rp = bench::run_bench(serial, macs);
+                const double split_x = rs.items_per_sec / r1.items_per_sec;
+                const double pool_x = rp.items_per_sec / r1.items_per_sec;
+                std::printf("%5zu %5zu %9zu %9.1f %7.2fx %7.2fx\n", n, m,
+                            macs, r1.ns_per_iter / 1e3, split_x, pool_x);
+                const std::string key = "gemm_floor_n" + std::to_string(n) +
+                                        "_m" + std::to_string(m);
+                report.metric(key + "_t1_us", r1.ns_per_iter / 1e3, "us");
+                report.metric(key + "_split_vs_t1", split_x, "x");
+                report.metric(key + "_tpool_vs_t1", pool_x, "x");
             }
         }
     }

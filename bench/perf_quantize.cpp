@@ -130,6 +130,26 @@ bm_operand_decode_rows(const BdrFormat& fmt)
 }
 
 bench::BenchResult
+bm_pack_rows_aligned(const BdrFormat& fmt)
+{
+    // The native K/V cache's append: quantize+pack byte-aligned rows of
+    // head_dim = 32 elements onto a stream that keeps its capacity.
+    const std::size_t rows = 128, cols = 32;
+    auto x = make_data(rows * cols);
+    const auto plan = core::kernels::make_quant_plan(fmt);
+    Rounder rounder;
+    std::vector<std::uint8_t> stream;
+    return bench::run_bench(
+        [&] {
+            stream.clear();
+            gemm::pack_rows_aligned(plan, x.data(), rows, cols, rounder,
+                                    stream);
+            bench::do_not_optimize(stream.data());
+        },
+        x.size());
+}
+
+bench::BenchResult
 bm_operand_quantize(const BdrFormat& fmt)
 {
     // The activation-side builder: floats straight into the view.
@@ -220,6 +240,7 @@ main()
     row(report, "fused_quantize_pack_mx4", bm_fused_quantize_pack(mx4()));
     row(report, "unpack_mx9", bm_unpack(mx9()));
     row(report, "unpack_fp8_e4m3", bm_unpack(fp8_e4m3()));
+    row(report, "pack_rows_aligned_mx9", bm_pack_rows_aligned(mx9()));
     row(report, "operand_decode_rows_mx9", bm_operand_decode_rows(mx9()));
     row(report, "operand_quantize_mx9", bm_operand_quantize(mx9()));
 

@@ -116,9 +116,6 @@ struct BdrFormat
      */
     double bits_per_element() const;
 
-    /** True if this is a scalar floating-point element format. */
-    bool is_scalar_fp() const { return elem == ElementKind::FloatingPoint; }
-
     /** True when the first-level scale factor is software-managed FP32. */
     bool has_sw_scale() const { return s_kind == ScaleKind::Fp32Sw; }
 

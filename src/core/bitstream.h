@@ -11,8 +11,8 @@
  * packing-efficiency numbers (Fig 7 x-axis) come from the exact same
  * field widths.
  *
- * Writes move whole bytes at a time (at most 9 touches for a 64-bit
- * field instead of 64).  Reads go through a 64-bit window refilled one
+ * Writes accumulate in a 64-bit word that is flushed eight bytes at a
+ * time, so a field costs a mask, a shift and an OR.  Reads go through a 64-bit window refilled one
  * little-endian word at a time, so a field costs a mask and a shift;
  * only the stream's last 8 bytes are loaded byte by byte, which keeps
  * every load inside the caller's span.  The window is what lets the
@@ -57,43 +57,85 @@ class BitWriter
     void
     write(std::uint64_t value, int bits)
     {
-        MX_CHECK_ARG(bits >= 0 && bits <= 64, "BitWriter: bad field width");
-        while (bits > 0) {
-            if (bit_pos_ == 0)
-                bytes_.push_back(0);
-            const int take = std::min(bits, 8 - bit_pos_);
-            const std::uint32_t mask = (1u << take) - 1u;
-            bytes_.back() |= static_cast<std::uint8_t>(
-                (static_cast<std::uint32_t>(value) & mask) << bit_pos_);
-            value >>= take;
-            bits -= take;
-            bit_pos_ = (bit_pos_ + take) & 7;
+        // No message building on the hot path, so write() inlines into
+        // the fused quantize+pack loops.
+        if (static_cast<unsigned>(bits) > 64)
+            bad_width();
+        if (bits < 64)
+            value &= (std::uint64_t{1} << bits) - 1;
+        acc_ |= value << pending_;
+        pending_ += bits;
+        if (pending_ >= 64) {
+            pending_ -= 64;
+            put(8);
+            tail_ = 0;
+            // What is left of value: its top pending_ bits.
+            acc_ = pending_ == 0 ? 0 : value >> (bits - pending_);
         }
     }
 
     /** Close the current byte: the next field starts on a byte
      *  boundary, and the closed byte's unused high bits stay zero. */
-    void pad_to_byte() { bit_pos_ = 0; }
+    void
+    pad_to_byte()
+    {
+        pending_ = (pending_ + 7) & ~7;
+        if (pending_ == 64) {
+            put(8);
+            *this = BitWriter(std::move(bytes_));
+        }
+    }
 
     /** Total number of bits written. */
     std::size_t
     bit_count() const
     {
-        if (bytes_.empty())
-            return 0;
-        return bytes_.size() * 8 -
-               (bit_pos_ == 0 ? 0 : 8 - static_cast<std::size_t>(bit_pos_));
+        return (bytes_.size() - tail_) * 8 +
+               static_cast<std::size_t>(pending_);
     }
 
     /** The accumulated byte stream (final partial byte zero-padded). */
-    const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+    const std::vector<std::uint8_t>&
+    bytes() const
+    {
+        const std::size_t n = (static_cast<std::size_t>(pending_) + 7) / 8;
+        put(n);
+        tail_ = n;
+        return bytes_;
+    }
 
     /** Move the stream out. */
-    std::vector<std::uint8_t> take() { return std::move(bytes_); }
+    std::vector<std::uint8_t>
+    take()
+    {
+        bytes();
+        std::vector<std::uint8_t> out = std::move(bytes_);
+        *this = BitWriter();
+        return out;
+    }
 
   private:
-    std::vector<std::uint8_t> bytes_;
-    int bit_pos_ = 0;
+    [[noreturn, gnu::noinline, gnu::cold]] static void
+    bad_width()
+    {
+        throw ArgumentError("BitWriter: bad field width");
+    }
+
+    /** Append the low @p n bytes of acc_, little-endian, over the copy
+     *  of the pending bits an earlier bytes() left at the end. */
+    void
+    put(std::size_t n) const
+    {
+        bytes_.resize(bytes_.size() - tail_);
+        for (std::size_t i = 0; i < n; ++i)
+            bytes_.push_back(static_cast<std::uint8_t>(acc_ >> (8 * i)));
+    }
+
+    /** Flushed words, then tail_ bytes that bytes() copied from acc_. */
+    mutable std::vector<std::uint8_t> bytes_;
+    mutable std::size_t tail_ = 0;
+    std::uint64_t acc_ = 0; ///< Pending bits, the next one at pending_.
+    int pending_ = 0;       ///< Valid bits in acc_, in [0, 64).
 };
 
 /** Reads bit fields written by BitWriter, in the same order.  Holds a

@@ -173,12 +173,6 @@ Quantizer::quantize(const std::vector<float>& in)
     return out;
 }
 
-void
-Quantizer::quantize_inplace(std::span<float> data)
-{
-    (*this)(data, data);
-}
-
 std::vector<float>
 fake_quantize(const BdrFormat& fmt, const std::vector<float>& in,
               RoundingMode mode)

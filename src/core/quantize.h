@@ -115,9 +115,6 @@ class Quantizer
     /** Convenience: returns a fake-quantized copy. */
     std::vector<float> quantize(const std::vector<float>& in);
 
-    /** In-place fake quantization. */
-    void quantize_inplace(std::span<float> data);
-
     /** The format this quantizer targets. */
     const BdrFormat& format() const { return fmt_; }
 

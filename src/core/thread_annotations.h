@@ -63,9 +63,6 @@
 /** Field access requires holding the given mutex. */
 #define MX_GUARDED_BY(x) MX_THREAD_ANNOTATION(guarded_by(x))
 
-/** Pointee access requires holding the given mutex. */
-#define MX_PT_GUARDED_BY(x) MX_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /** The function must be called with the capabilities held. */
 #define MX_REQUIRES(...) \
     MX_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
@@ -78,17 +75,9 @@
 #define MX_RELEASE(...) \
     MX_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/** The function acquires the capability iff it returns the given
- *  value. */
-#define MX_TRY_ACQUIRE(...) \
-    MX_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /** The function must NOT be called with the capabilities held
  *  (deadlock prevention: documents a lock the callee takes itself). */
 #define MX_EXCLUDES(...) MX_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** The function returns a reference to the given capability. */
-#define MX_RETURN_CAPABILITY(x) MX_THREAD_ANNOTATION(lock_returned(x))
 
 /** Escape hatch: disables the analysis for one function.  Every use
  *  must carry a comment proving why the unsynchronized access is safe
@@ -126,12 +115,6 @@ class MX_CAPABILITY("mutex") Mutex
     unlock() MX_RELEASE() MX_NO_THREAD_SAFETY_ANALYSIS
     {
         mu_.unlock();
-    }
-
-    bool
-    try_lock() MX_TRY_ACQUIRE(true) MX_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return mu_.try_lock();
     }
 
     /** The wrapped mutex, for APIs that need the std type. */

@@ -1,6 +1,8 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 #include "core/env.h"
 #include "obs/obs.h"
@@ -14,6 +16,16 @@ namespace {
 thread_local bool tl_in_pool = false;
 
 } // namespace
+
+struct ThreadPool::Job
+{
+    const std::function<void(std::size_t)>& body;
+    const std::size_t n;
+    const std::size_t chunk; ///< Items claimed per cursor bump.
+    std::atomic<std::size_t> next{0}; ///< Work cursor: claimed lock-free.
+    std::size_t helpers = 0;  ///< Other lanes inside run_items (mu_).
+    std::exception_ptr error; ///< First exception thrown (mu_).
+};
 
 std::size_t
 ThreadPool::default_thread_count()
@@ -37,16 +49,14 @@ ThreadPool::ThreadPool(std::size_t num_threads)
 
 ThreadPool::~ThreadPool()
 {
+    std::vector<std::thread> workers;
     {
         LockGuard lk(mu_);
         stop_ = true;
+        workers.swap(workers_);
     }
     work_cv_.notify_all();
-    // run_mu_ makes the workers_ read provable; it cannot contend —
-    // a parallel_for still holding it while the pool dies is already
-    // a use-after-free — and the workers never take run_mu_.
-    LockGuard run_lock(run_mu_);
-    for (std::thread& t : workers_)
+    for (std::thread& t : workers)
         t.join();
 }
 
@@ -57,39 +67,36 @@ ThreadPool::shared()
     return pool;
 }
 
-void
-ThreadPool::ensure_started()
+ThreadPool::Job*
+ThreadPool::open_job()
 {
-    if (started_)
-        return;
-    started_ = true;
-    workers_.reserve(num_workers_);
-    for (std::size_t i = 0; i < num_workers_; ++i)
-        workers_.emplace_back([this] { worker_loop(); });
+    for (Job* job : jobs_)
+        if (job->next.load(std::memory_order_relaxed) < job->n)
+            return job;
+    return nullptr;
 }
 
 void
-ThreadPool::run_items(const std::function<void(std::size_t)>& body,
-                      std::size_t n, std::size_t chunk)
+ThreadPool::run_items(Job& job)
 {
     const bool was_in_pool = tl_in_pool;
     tl_in_pool = true;
     for (;;) {
         const std::size_t begin =
-            next_.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= n)
+            job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+        if (begin >= job.n)
             break;
-        const std::size_t end = std::min(n, begin + chunk);
+        const std::size_t end = std::min(job.n, begin + job.chunk);
         for (std::size_t i = begin; i < end; ++i) {
             try {
-                body(i);
+                job.body(i);
             } catch (...) {
                 {
                     LockGuard lk(mu_);
-                    if (!error_)
-                        error_ = std::current_exception();
+                    if (!job.error)
+                        job.error = std::current_exception();
                 }
-                next_.store(n, std::memory_order_relaxed); // drain
+                job.next.store(job.n, std::memory_order_relaxed); // drain
                 tl_in_pool = was_in_pool;
                 return;
             }
@@ -102,31 +109,20 @@ void
 ThreadPool::worker_loop()
 {
     obs::set_thread_name("pool-worker");
-    std::uint64_t seen = 0;
     for (;;) {
-        // Snapshot the job under the lock; the work loop runs on the
-        // snapshot so it never touches the guarded fields lock-free.
-        const std::function<void(std::size_t)>* body = nullptr;
-        std::size_t n = 0;
-        std::size_t chunk = 1;
+        Job* job = nullptr;
         {
             UniqueLock lk(mu_);
-            while (!stop_ && generation_ == seen)
+            while (!stop_ && (job = open_job()) == nullptr)
                 lk.wait(work_cv_);
             if (stop_)
                 return;
-            seen = generation_;
-            if (!body_)
-                continue; // woke after the job already finished
-            ++active_;
-            body = body_;
-            n = n_;
-            chunk = chunk_;
+            ++job->helpers; // pins the job until this lane leaves it
         }
-        run_items(*body, n, chunk);
+        run_items(*job);
         {
             LockGuard lk(mu_);
-            if (--active_ == 0)
+            if (--job->helpers == 0)
                 done_cv_.notify_all();
         }
     }
@@ -139,8 +135,8 @@ ThreadPool::parallel_for(std::size_t n,
     if (n == 0)
         return;
     // Inline when the pool adds nothing (single lane, tiny loop) or when
-    // called from inside a pool lane (nested parallelism would deadlock
-    // on run_mu_; the outer loop already owns the fan-out).
+    // called from inside a pool lane (the outer loop already owns the
+    // fan-out).
     if (num_workers_ == 0 || n == 1 || tl_in_pool) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
@@ -150,29 +146,28 @@ ThreadPool::parallel_for(std::size_t n,
     obs::Span span("pool.parallel_for");
     span.arg("n", static_cast<double>(n));
 
-    LockGuard run_lock(run_mu_);
-    ensure_started();
-    const std::size_t chunk =
-        std::max<std::size_t>(1, n / (thread_count() * 8));
+    Job job{body, n, std::max<std::size_t>(1, n / (thread_count() * 8)),
+            0, 0, nullptr};
     {
         LockGuard lk(mu_);
-        body_ = &body;
-        n_ = n;
-        chunk_ = chunk;
-        next_.store(0, std::memory_order_relaxed);
-        error_ = nullptr;
-        ++generation_;
+        if (workers_.empty()) {
+            workers_.reserve(num_workers_);
+            for (std::size_t i = 0; i < num_workers_; ++i)
+                workers_.emplace_back([this] { worker_loop(); });
+        }
+        jobs_.push_back(&job);
     }
     work_cv_.notify_all();
-    run_items(body, n, chunk); // the caller is a lane too
+    run_items(job); // the caller is a lane of its own job
     std::exception_ptr err;
     {
+        // Retire the job so no further lane joins it, then wait for the
+        // lanes still running its last items.
         UniqueLock lk(mu_);
-        while (active_ != 0)
+        jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+        while (job.helpers != 0)
             lk.wait(done_cv_);
-        body_ = nullptr;
-        err = error_;
-        error_ = nullptr;
+        err = job.error;
     }
     if (err)
         std::rethrow_exception(err);

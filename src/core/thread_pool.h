@@ -2,34 +2,33 @@
 
 /**
  * @file
- * A small shared worker pool for data-parallel loops — the execution
- * substrate of the multi-threaded Figure 7 design-space sweep and of any
- * future batched serving path.
+ * The process's one scheduler for data-parallel loops (GEMM shares,
+ * decode attention tasks, sharded engine batches, the Figure 7 sweep).
  *
  * Design points:
  *  - lazily started: no threads exist until the first parallel_for();
  *  - sized by the MX_THREADS environment variable (when constructed
  *    with num_threads == 0), falling back to the hardware concurrency;
- *  - the calling thread participates as a lane, so a pool of size 1
- *    never spawns a thread and runs the loop inline;
+ *  - one job per call: parallel_for posts its loop onto a job list and
+ *    runs its items on the calling thread, idle lanes help the oldest
+ *    job with unclaimed items, and the caller then waits only for items
+ *    in flight elsewhere, so concurrent callers (the engine's serve
+ *    workers) never queue behind each other; a pool of size 1 never
+ *    spawns a thread;
  *  - parallel_for(n, body) invokes body(i) exactly once for every
  *    i in [0, n) — each index writes its own output slot, so results
  *    are identical for any thread count (the sweep determinism test in
  *    tests/test_sweep.cpp pins this);
- *  - nested/concurrent parallel_for calls degrade gracefully: a call
- *    from inside a pool lane runs inline on that lane.
+ *  - a call from inside a pool lane runs inline on that lane: the
+ *    outer loop already owns the fan-out.
  *
- * Exceptions thrown by body are caught, the loop drained, and the first
- * one rethrown on the calling thread.
+ * Exceptions thrown by body are caught, the job drained, and the first
+ * one rethrown on that job's calling thread; other jobs are unaffected.
  */
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -59,6 +58,7 @@ class ThreadPool
     /**
      * Run body(i) for every i in [0, n), fanning out across the pool.
      * Blocks until every index completed; rethrows the first exception.
+     * Safe to call from several threads at once.
      */
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t)>& body);
@@ -74,32 +74,23 @@ class ThreadPool
     static std::size_t default_thread_count();
 
   private:
-    void ensure_started() MX_REQUIRES(run_mu_);
+    /** One parallel_for call's loop (lives on the caller's stack). */
+    struct Job;
+
     void worker_loop() MX_EXCLUDES(mu_);
-    /** One lane's share of the current job: @p body/@p n/@p chunk are
-     *  the caller's snapshot of the job fields, taken under mu_ (or
-     *  owned outright by parallel_for), so the work loop itself runs
-     *  lock-free.  Only the first-exception slot touches mu_. */
-    void run_items(const std::function<void(std::size_t)>& body,
-                   std::size_t n, std::size_t chunk) MX_EXCLUDES(mu_);
+    /** The oldest posted job with unclaimed items, or nullptr. */
+    Job* open_job() MX_REQUIRES(mu_);
+    /** Claim and run @p job's items until none are left; the work
+     *  cursor is atomic, so only the first-exception slot takes mu_. */
+    void run_items(Job& job) MX_EXCLUDES(mu_);
 
     std::size_t num_workers_ = 0; ///< Lanes - 1 (threads actually spawned).
-    Mutex run_mu_; ///< Serializes top-level parallel_for calls.
-    std::vector<std::thread> workers_ MX_GUARDED_BY(run_mu_);
-    bool started_ MX_GUARDED_BY(run_mu_) = false;
-
-    Mutex mu_; ///< Guards the per-job fields below.
-    std::condition_variable work_cv_;
-    std::condition_variable done_cv_;
-    std::uint64_t generation_ MX_GUARDED_BY(mu_) = 0;
+    Mutex mu_; ///< Guards the fields below and each Job's helpers/error.
+    std::condition_variable work_cv_; ///< A job was posted, or stop_.
+    std::condition_variable done_cv_; ///< A helper left its job.
+    std::vector<std::thread> workers_ MX_GUARDED_BY(mu_);
+    std::vector<Job*> jobs_ MX_GUARDED_BY(mu_); ///< Oldest first.
     bool stop_ MX_GUARDED_BY(mu_) = false;
-    std::size_t active_ MX_GUARDED_BY(mu_) = 0;
-    const std::function<void(std::size_t)>* body_ MX_GUARDED_BY(mu_) =
-        nullptr;
-    std::size_t n_ MX_GUARDED_BY(mu_) = 0;
-    std::size_t chunk_ MX_GUARDED_BY(mu_) = 1;
-    std::atomic<std::size_t> next_{0}; ///< Work cursor: atomic, unguarded.
-    std::exception_ptr error_ MX_GUARDED_BY(mu_);
 };
 
 } // namespace core

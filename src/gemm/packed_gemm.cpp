@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/check.h"
 #include "core/env.h"
 #include "core/kernels/dispatch.h"
-#include "core/thread_annotations.h"
 #include "core/thread_pool.h"
 #include "obs/obs.h"
 
@@ -242,59 +238,42 @@ class ScalarGemmKernel final : public PackedGemmKernel
 };
 
 /**
- * The pool the blocked drivers shard tiles across.  The default lane
- * count rides the shared process pool; a pinned MX_GEMM_THREADS /
- * set_gemm_threads count gets its own cached pool (tests pin 2 and 7
- * back to back — churning pool threads per GEMM would dwarf the GEMM).
- */
-/** Pinned-count pool cache behind pool_for (leaked, like the obs
- *  registries: lanes may still be draining at static destruction). */
-core::Mutex g_pools_mu;
-std::map<std::size_t, std::unique_ptr<core::ThreadPool>>*
-    g_pools MX_GUARDED_BY(g_pools_mu) = nullptr;
-
-core::ThreadPool&
-pool_for(std::size_t threads)
-{
-    if (threads == core::ThreadPool::default_thread_count())
-        return core::ThreadPool::shared();
-    core::LockGuard lk(g_pools_mu);
-    if (g_pools == nullptr)
-        g_pools =
-            new std::map<std::size_t, std::unique_ptr<core::ThreadPool>>;
-    std::unique_ptr<core::ThreadPool>& slot = (*g_pools)[threads];
-    if (slot == nullptr)
-        slot = std::make_unique<core::ThreadPool>(threads);
-    return *slot;
-}
-
-/**
- * Walk the FIXED (rows x cols) output-tile grid, sharding whole tiles
- * across gemm_threads() lanes.  The grid depends only on the output
- * shape — never on the thread count — and every C element lives in
- * exactly one tile, so any lane-to-tile assignment is bit-identical.
+ * Walk the FIXED (rows x cols) output-tile grid of a GEMM with @p k
+ * contraction elements.  A GEMM with enough MACs splits the grid into
+ * shares — contiguous tile ranges of at least kMinMacsPerShare MACs,
+ * at most gemm_threads() of them — on the shared pool; a smaller one
+ * runs inline, since waking lanes would cost more than its tiles.  The
+ * grid depends only on the output shape — never on the share count —
+ * and every C element lives in exactly one tile, so any split is
+ * bit-identical.
  */
 template <typename TileFn>
 void
-run_tiled(std::size_t rows, std::size_t cols, const TileFn& run_tile)
+run_tiled(std::size_t rows, std::size_t cols, std::size_t k,
+          const TileFn& run_tile)
 {
     const std::size_t nti = (rows + kTileRowsA - 1) / kTileRowsA;
     const std::size_t ntj = (cols + kTileRowsB - 1) / kTileRowsB;
     const std::size_t ntiles = nti * ntj;
-    const auto tile_at = [&](std::size_t t) {
-        const std::size_t i0 = (t / ntj) * kTileRowsA;
-        const std::size_t j0 = (t % ntj) * kTileRowsB;
-        return Tile{i0, std::min(rows, i0 + kTileRowsA), j0,
-                    std::min(cols, j0 + kTileRowsB)};
+    const auto run_range = [&](std::size_t t0, std::size_t t1) {
+        for (std::size_t t = t0; t < t1; ++t) {
+            const std::size_t i0 = (t / ntj) * kTileRowsA;
+            const std::size_t j0 = (t % ntj) * kTileRowsB;
+            run_tile(Tile{i0, std::min(rows, i0 + kTileRowsA), j0,
+                          std::min(cols, j0 + kTileRowsB)});
+        }
     };
-    const std::size_t threads = gemm_threads();
-    if (threads <= 1 || ntiles <= 1) {
-        for (std::size_t t = 0; t < ntiles; ++t)
-            run_tile(tile_at(t));
+    const std::size_t shares = std::min(
+        {gemm_threads(), ntiles, rows * cols * k / kMinMacsPerShare});
+    if (shares <= 1) {
+        run_range(0, ntiles);
         return;
     }
-    pool_for(threads).parallel_for(
-        ntiles, [&](std::size_t t) { run_tile(tile_at(t)); });
+    static obs::Counter& shares_run = obs::counter("gemm.shares");
+    core::ThreadPool::shared().parallel_for(shares, [&](std::size_t s) {
+        run_range(ntiles * s / shares, ntiles * (s + 1) / shares);
+        shares_run.add(1);
+    });
 }
 
 /** The threaded whole-GEMM drivers the matmul_* entry points run. */
@@ -303,7 +282,7 @@ run_gemm(const PackedGemmKernel& kernel, const GemmPlan& plan,
          const PackedOperand& a, const PackedOperand& b, float* c)
 {
     check_pair(plan, a, b);
-    run_tiled(a.rows(), b.rows(), [&](const Tile& t) {
+    run_tiled(a.rows(), b.rows(), a.cols(), [&](const Tile& t) {
         kernel.gemm_tile(plan, a, b, t, c, b.rows());
     });
 }
@@ -314,7 +293,7 @@ run_gemm_nn(const PackedGemmKernel& kernel, const GemmPlan& plan,
             std::size_t ncols, float* c)
 {
     check_nn(plan, a, b, ncols);
-    run_tiled(a.rows(), ncols, [&](const Tile& t) {
+    run_tiled(a.rows(), ncols, a.cols(), [&](const Tile& t) {
         kernel.gemm_nn_tile(plan, a, b, t, c, ncols);
     });
 }

@@ -41,12 +41,13 @@
  *    L1 across a panel, and the A row's panel slice is reused across
  *    every B row in the tile.
  *  - Multithreading.  matmul_nt_packed{,2}, matmul_nt_prequant and
- *    matmul_nn_packed shard the FIXED tile grid across a thread pool
- *    sized by MX_GEMM_THREADS (default: the MX_THREADS pool size; 1 =
- *    serial).  The grid never depends on the thread count, and each
- *    C element is computed wholly inside one tile by one thread — all
- *    integer work plus its own FP32 block chain — so results are
- *    bit-identical for any thread count or shard assignment.
+ *    matmul_nn_packed split the FIXED tile grid into contiguous shares
+ *    on core::ThreadPool::shared(): min(gemm_threads(), tiles,
+ *    MACs / kMinMacsPerShare) of them, and a GEMM below two shares
+ *    runs inline on its caller.  The grid never depends on the share
+ *    count, and each C element is computed wholly inside one tile by
+ *    one thread — all integer work plus its own FP32 block chain — so
+ *    results are bit-identical for any share count or assignment.
  *
  * Scalar, AVX2 and AVX-512 kernels are therefore bit-identical by
  * construction, across any MX_GEMM_THREADS, and
@@ -65,9 +66,9 @@
  * and load keep no FP32 grid for such a layer (nn/frozen.h).
  *
  * Knob:
- *   MX_GEMM_THREADS=N shard output tiles across N lanes (default: the
- *                     shared pool size; 1 = serial, today's behavior;
- *                     0/negative clamp to 1)
+ *   MX_GEMM_THREADS=N split a GEMM into at most N shares (default: the
+ *                     shared pool size; 1 = serial; 0/negative clamp
+ *                     to 1).  Small GEMMs run inline at any N.
  */
 
 #include <cstdint>
@@ -107,14 +108,25 @@ struct Tile
 inline constexpr std::size_t kTileRowsA = 64;
 
 /** Output-tile width: B rows / NN cols per tile (the nc factor).  Also
- *  the parallel shard granularity — small enough that a decode-shaped
- *  N still fans out, large enough that a B panel amortizes. */
+ *  the unit a threaded GEMM's shares are cut from — large enough that
+ *  a B panel amortizes. */
 inline constexpr std::size_t kTileRowsB = 32;
 
 /** k1 blocks per kc panel inside a tile: the contraction slice held
  *  hot while the microkernel sweeps the tile (k1 = 16, int16 mantissas
  *  => 1 KiB of mantissa stream per operand row per panel). */
 inline constexpr std::size_t kPanelBlocks = 32;
+
+/**
+ * The fewest MACs one share of a threaded GEMM carries; a GEMM below
+ * two shares' worth runs inline.  From bench/gemm_packed's MAC floor
+ * ladder (MX9, K = 256, 4 AVX-512 vCPUs, GCC 12): splitting costs
+ * ~13-15 us of wake and join (N = 256, M = 1 and 4), ~0.3 M MACs at
+ * one lane's ~20 GMAC/s.  1 M MACs keeps that under a quarter of a
+ * share's work; the shipped rule then reads 1.00x of serial below the
+ * floor and 1.47-3.6x above it.
+ */
+inline constexpr std::size_t kMinMacsPerShare = std::size_t{1} << 20;
 
 /**
  * The execute side.  Kernels implement the TILE entry points; the
@@ -192,9 +204,11 @@ const PackedGemmKernel* avx512_gemm_kernel();
 const PackedGemmKernel& active_gemm_kernel();
 
 /**
- * Lanes the threaded matmul_* drivers shard output tiles across.
- * Resolved once from MX_GEMM_THREADS (default: the shared pool's lane
- * count); set_gemm_threads overrides at runtime.
+ * The most shares the matmul_* drivers split one GEMM into (each share
+ * also needs kMinMacsPerShare MACs).  Resolved once from
+ * MX_GEMM_THREADS (default: the shared pool's lane count);
+ * set_gemm_threads overrides at runtime.  A count above the pool's
+ * lanes still makes that many shares; the lanes take turns on them.
  */
 std::size_t gemm_threads();
 
@@ -206,8 +220,7 @@ void set_gemm_threads(std::size_t threads);
  * C = X * W^T with X[M, K] float activations and W[N, K] packed:
  * quantizes X on the fly into the execution view (the same
  * quantization the fake-quant path applies) and runs the active
- * packed kernel, sharding output tiles across gemm_threads() lanes.
- * Never materializes a dequantized FP32 copy of W.
+ * packed kernel, split into shares as the file comment says.  Never materializes a dequantized FP32 copy of W.
  *
  * @p a_plan is the activation-side plan (may differ from w.plan() —
  * Table IV (w, a) format splits); gemm_compatible(a_plan, w.plan())

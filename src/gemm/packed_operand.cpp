@@ -36,9 +36,11 @@ PackedOperand::PackedOperand(const QuantPlan& plan, std::size_t rows,
     blocks_per_row_ = (cols + static_cast<std::size_t>(plan.k1) - 1) /
                       static_cast<std::size_t>(plan.k1);
     subs_per_row_ = plan.num_sub_blocks(cols);
-    mantissa_.resize(rows * cols);
-    tau_.assign(rows * subs_per_row_, 0);
-    exp_.resize(rows * blocks_per_row_);
+    mantissa_ = std::make_unique_for_overwrite<std::int16_t[]>(rows * cols);
+    tau_ = std::make_unique_for_overwrite<std::uint8_t[]>(rows *
+                                                          subs_per_row_);
+    exp_ = std::make_unique_for_overwrite<std::int16_t[]>(rows *
+                                                          blocks_per_row_);
 }
 
 std::size_t
@@ -80,8 +82,8 @@ PackedOperand::row_bit_offset(std::size_t r) const
 std::size_t
 PackedOperand::memory_bytes() const
 {
-    return mantissa_.size() * sizeof(std::int16_t) + tau_.size() +
-           exp_.size() * sizeof(std::int16_t);
+    return rows_ * (cols_ * sizeof(std::int16_t) + subs_per_row_ +
+                    blocks_per_row_ * sizeof(std::int16_t));
 }
 
 namespace {
@@ -114,9 +116,9 @@ PackedOperand::decode(const QuantPlan& plan,
                      << rows << " x " << cols << "]");
     core::BitReader reader(bytes);
     for (std::size_t r = 0; r < rows; ++r)
-        decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
-                   op.tau_.data() + r * op.subs_per_row_,
-                   op.exp_.data() + r * op.blocks_per_row_);
+        decode_row(plan, reader, cols, op.mantissa_.get() + r * cols,
+                   op.tau_.get() + r * op.subs_per_row_,
+                   op.exp_.get() + r * op.blocks_per_row_);
     return op;
 }
 
@@ -136,9 +138,9 @@ PackedOperand::decode_rows(const QuantPlan& plan,
     // byte at a time; the size check above keeps every row in bounds.
     for (std::size_t r = 0; r < rows; ++r) {
         core::BitReader reader(bytes.subspan(r * stride));
-        decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
-                   op.tau_.data() + r * op.subs_per_row_,
-                   op.exp_.data() + r * op.blocks_per_row_);
+        decode_row(plan, reader, cols, op.mantissa_.get() + r * cols,
+                   op.tau_.get() + r * op.subs_per_row_,
+                   op.exp_.get() + r * op.blocks_per_row_);
     }
     return op;
 }
@@ -150,8 +152,8 @@ PackedOperand::quantize(const QuantPlan& plan, const float* x,
 {
     PackedOperand op(plan, rows, cols);
     core::kernels::active_kernel().quantize_encode_rows(
-        plan, x, rows, cols, rounder, op.mantissa_.data(), op.tau_.data(),
-        op.exp_.data());
+        plan, x, rows, cols, rounder, op.mantissa_.get(), op.tau_.get(),
+        op.exp_.get());
     return op;
 }
 

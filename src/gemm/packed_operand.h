@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -104,21 +105,21 @@ class PackedOperand
     const std::int16_t*
     row_mantissa(std::size_t r) const
     {
-        return mantissa_.data() + r * cols_;
+        return mantissa_.get() + r * cols_;
     }
 
     /** Row @p r's sub-block shifts (subs_per_row() entries). */
     const std::uint8_t*
     row_tau(std::size_t r) const
     {
-        return tau_.data() + r * subs_per_row_;
+        return tau_.get() + r * subs_per_row_;
     }
 
     /** Row @p r's shared exponents (blocks_per_row() entries). */
     const std::int16_t*
     row_exp(std::size_t r) const
     {
-        return exp_.data() + r * blocks_per_row_;
+        return exp_.get() + r * blocks_per_row_;
     }
 
     /** Bit offset of row @p r inside the source packed stream (every
@@ -136,9 +137,11 @@ class PackedOperand
     core::kernels::QuantPlan plan_;
     std::size_t rows_ = 0, cols_ = 0;
     std::size_t blocks_per_row_ = 0, subs_per_row_ = 0;
-    std::vector<std::int16_t> mantissa_; ///< rows x cols
-    std::vector<std::uint8_t> tau_;      ///< rows x subs_per_row
-    std::vector<std::int16_t> exp_;      ///< rows x blocks_per_row
+    // Allocated unwritten: every builder writes each element (tau
+    // included, zeros when d2 == 0).
+    std::unique_ptr<std::int16_t[]> mantissa_; ///< rows x cols
+    std::unique_ptr<std::uint8_t[]> tau_;      ///< rows x subs_per_row
+    std::unique_ptr<std::int16_t[]> exp_;      ///< rows x blocks_per_row
 };
 
 /** Stream bits of one row of @p cols elements under @p plan (the

@@ -37,6 +37,85 @@ TEST(BitStream, WriteReadRoundTrip)
     EXPECT_EQ(r.read(64), 0x123456789abcdef0ull);
 }
 
+namespace {
+
+/** The byte-at-a-time writer BitWriter replaced: one bit per loop
+ *  iteration, so it shares no shortcut with the word accumulator. */
+class ReferenceBitWriter
+{
+  public:
+    explicit ReferenceBitWriter(std::vector<std::uint8_t> bytes = {})
+        : bytes_(std::move(bytes))
+    {
+    }
+
+    void
+    write(std::uint64_t value, int bits)
+    {
+        for (int i = 0; i < bits; ++i) {
+            if (bit_pos_ == 0)
+                bytes_.push_back(0);
+            bytes_.back() = static_cast<std::uint8_t>(
+                bytes_.back() | (((value >> i) & 1u) << bit_pos_));
+            bit_pos_ = (bit_pos_ + 1) & 7;
+        }
+    }
+
+    void pad_to_byte() { bit_pos_ = 0; }
+
+    std::size_t
+    bit_count() const
+    {
+        return bytes_.size() * 8 -
+               (bit_pos_ == 0 ? 0 : 8 - static_cast<std::size_t>(bit_pos_));
+    }
+
+    const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+
+  private:
+    std::vector<std::uint8_t> bytes_;
+    int bit_pos_ = 0;
+};
+
+} // namespace
+
+TEST(BitStream, MatchesAByteAtATimeReferenceWriter)
+{
+    // Random widths 0-64 (values carry garbage above their width) with
+    // pads interleaved, bytes() read mid-stream, and writers that
+    // append after existing bytes: every view must match the reference.
+    stats::Rng rng(4242);
+    for (int trial = 0; trial < 300; ++trial) {
+        std::vector<std::uint8_t> prefix(
+            static_cast<std::size_t>(rng.uniform_int(0, 3)));
+        for (std::uint8_t& b : prefix)
+            b = static_cast<std::uint8_t>(rng.next_u32());
+        BitWriter w(prefix);
+        ReferenceBitWriter ref(prefix);
+        for (int i = 0; i < 60; ++i) {
+            const std::uint64_t roll = rng.uniform_int(0, 9);
+            if (roll == 0) {
+                w.pad_to_byte();
+                ref.pad_to_byte();
+            } else if (roll == 1) {
+                ASSERT_EQ(w.bytes(), ref.bytes()) << "trial " << trial;
+            } else {
+                const int width = static_cast<int>(rng.uniform_int(0, 64));
+                const std::uint64_t value = rng.next_u64();
+                w.write(value, width);
+                ref.write(value, width);
+            }
+            ASSERT_EQ(w.bit_count(), ref.bit_count()) << "trial " << trial;
+        }
+        ASSERT_EQ(w.bytes(), ref.bytes()) << "trial " << trial;
+        const std::size_t bits = w.bit_count();
+        const std::vector<std::uint8_t> taken = w.take();
+        ASSERT_EQ(taken, ref.bytes()) << "trial " << trial;
+        ASSERT_EQ(taken.size(), (bits + 7) / 8);
+        EXPECT_EQ(w.bit_count(), 0u);
+    }
+}
+
 TEST(BitStream, ReaderThrowsPastEnd)
 {
     BitWriter w;

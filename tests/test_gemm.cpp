@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1008,11 +1009,31 @@ class ScopedGemmThreads
 };
 
 /** Shapes that cross the tile grid: rows past kTileRowsA = 64, cols
- *  past kTileRowsB = 32, ragged contraction tails, exact boundaries. */
+ *  past kTileRowsB = 32, ragged contraction tails, exact boundaries —
+ *  all below the MAC floor, so they run inline at every pin — and one
+ *  ragged shape big enough for 7 shares. */
 const GemmCase kTiledCases[] = {{70, 67, 70},
                                 {64, 48, 32},
                                 {9, 256, 33},
-                                {65, 80, 4}};
+                                {65, 80, 4},
+                                {130, 260, 230}};
+
+std::size_t
+case_macs(const GemmCase& cs)
+{
+    return static_cast<std::size_t>(cs.m * cs.k * cs.n);
+}
+
+static_assert(130 * 260 * 230 >= 7 * gemm::kMinMacsPerShare,
+              "kTiledCases' last shape must reach 7 shares");
+
+/** Shares the threaded GEMMs have run so far (every share, on any
+ *  lane, counts once when it finishes). */
+std::uint64_t
+shares_run()
+{
+    return obs::counter("gemm.shares").value();
+}
 
 } // namespace
 
@@ -1033,10 +1054,20 @@ TEST(PackedGemmThreading, NtEntryPointsBitIdenticalAcrossThreadCounts)
                                                      *f.gemm_operand());
                     base_aa = gemm::matmul_nt_packed2(x, plan, w, plan);
                 }
+                // Small shapes stay inline at every pin; the big one
+                // fans out into exactly the pinned share count.
+                const bool big =
+                    case_macs(cs) >= 7 * gemm::kMinMacsPerShare;
+                EXPECT_TRUE(big ||
+                            case_macs(cs) < 2 * gemm::kMinMacsPerShare);
                 for (std::size_t t : {std::size_t{2}, std::size_t{7}}) {
                     ScopedGemmThreads threads(t);
+                    const std::uint64_t before = shares_run();
                     Tensor nt = gemm::matmul_nt_packed(x, plan,
                                                        *f.gemm_operand());
+                    EXPECT_EQ(shares_run() - before, big ? t : 0)
+                        << "[" << cs.m << "," << cs.k << "," << cs.n
+                        << "] t=" << t;
                     Tensor aa = gemm::matmul_nt_packed2(x, plan, w, plan);
                     EXPECT_EQ(tensor::max_abs_diff(nt, base_nt), 0.0)
                         << fmt.name << " [" << cs.m << "," << cs.k << ","
@@ -1119,6 +1150,55 @@ TEST(PackedGemmThreading, NnLegBitIdenticalAcrossThreadCounts)
             }
         }
     });
+}
+
+TEST(PackedGemmThreading, BelowFloorGemmsNeverEnterThePool)
+{
+    // A decode-step projection (16 rows x 256 x 256 = 1 M MACs) sits
+    // below two shares' worth of MACs: even pinned to 7 shares it runs
+    // inline on the caller, with no pool job at all.  A 7-share GEMM
+    // next to it shows the trace would see one.
+    static_assert(16 * 256 * 256 < 2 * gemm::kMinMacsPerShare);
+    stats::Rng rng(132);
+    const QuantPlan plan = make_quant_plan(core::mx9());
+    const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+    core::Rounder rounder;
+    const auto operand = [&](std::size_t rows, std::size_t cols) {
+        Tensor t = spread_randn(static_cast<std::int64_t>(rows),
+                                static_cast<std::int64_t>(cols), rng);
+        return gemm::PackedOperand::quantize(plan, t.data(), rows, cols,
+                                             rounder);
+    };
+    const auto small_a = operand(16, 256), small_b = operand(256, 256);
+    const auto big_a = operand(130, 260), big_b = operand(230, 260);
+    const auto pool_spans = [&](const gemm::PackedOperand& a,
+                                const gemm::PackedOperand& b) {
+        obs::clear_trace();
+        obs::set_trace_enabled(true);
+        gemm::matmul_nt_prequant(gp, a, b);
+        obs::set_trace_enabled(false);
+        std::ostringstream os;
+        obs::write_trace(os);
+        const std::string trace = os.str();
+        EXPECT_NE(trace.find("\"gemm.nt_prequant\""), std::string::npos);
+        std::size_t spans = 0;
+        for (std::size_t at = trace.find("\"pool.parallel_for\"");
+             at != std::string::npos;
+             at = trace.find("\"pool.parallel_for\"", at + 1))
+            ++spans;
+        return spans;
+    };
+    ScopedGemmThreads threads(7);
+    const std::uint64_t before = shares_run();
+    EXPECT_EQ(pool_spans(small_a, small_b), 0u);
+    EXPECT_EQ(shares_run(), before);
+    const std::size_t big_spans = pool_spans(big_a, big_b);
+    EXPECT_EQ(shares_run() - before, 7u);
+    // A one-lane shared pool runs every job inline, without a span.
+    if (core::ThreadPool::shared().thread_count() > 1) {
+        EXPECT_EQ(big_spans, 1u);
+    }
+    obs::clear_trace();
 }
 
 TEST(PackedGemmThreading, EnvKnobResolvesAndClamps)
@@ -1374,6 +1454,45 @@ TEST(PackedGemmLegs, NnBitIdenticalAcrossLegsAndThreadCounts)
             }
         }
     }
+}
+
+TEST(PackedGemmLegs, PinnedThreadCountsFanOutBitIdentically)
+{
+    // kCases and kNnCases sit below the MAC floor, so the sweeps above
+    // run them inline at every pin.  One ragged shape per leg above
+    // 7 shares' worth of MACs makes each pin really split the grid.
+    static_assert(130 * 260 * 230 >= 7 * gemm::kMinMacsPerShare);
+    stats::Rng rng(143);
+    core::Rounder rounder;
+    const QuantPlan plan = make_quant_plan(core::mx9());
+    const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+    const std::int64_t m = 130, k = 260, n = 230;
+    const std::size_t cols = static_cast<std::size_t>(n);
+    Tensor x = spread_randn(m, k, rng);
+    Tensor w = spread_randn(n, k, rng);
+    const auto a = gemm::PackedOperand::quantize(
+        plan, x.data(), static_cast<std::size_t>(m),
+        static_cast<std::size_t>(k), rounder);
+    const auto b = gemm::PackedOperand::quantize(
+        plan, w.data(), cols, static_cast<std::size_t>(k), rounder);
+    const NnChunks chunks = make_nn_chunks(plan, w, 3);
+    Tensor ref_nt({m, n}), ref_nn({m, n});
+    gemm::scalar_gemm_kernel().gemm(gp, a, b, ref_nt.data());
+    gemm::scalar_gemm_kernel().gemm_nn(gp, a, chunks.refs, cols,
+                                       ref_nn.data());
+    for_each_leg_and_threads([&](const char* leg, std::size_t t) {
+        const std::size_t want = t == 1 ? 0 : t;
+        std::uint64_t before = shares_run();
+        Tensor nt = gemm::matmul_nt_prequant(gp, a, b);
+        EXPECT_EQ(shares_run() - before, want) << "nt leg=" << leg;
+        EXPECT_EQ(first_bit_mismatch(nt, ref_nt), -1)
+            << "nt leg=" << leg << " t=" << t;
+        before = shares_run();
+        Tensor nn = gemm::matmul_nn_packed(gp, a, chunks.refs, cols);
+        EXPECT_EQ(shares_run() - before, want) << "nn leg=" << leg;
+        EXPECT_EQ(first_bit_mismatch(nn, ref_nn), -1)
+            << "nn leg=" << leg << " t=" << t;
+    });
 }
 
 TEST(PackedGemmLegs, DecodedExponentFieldExtremesBitIdentical)
